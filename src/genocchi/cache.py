@@ -6,7 +6,8 @@ decimal strings, so arbitrarily large values survive any JSON parser.
 Loading validates the shape and re-derives five randomly chosen entries
 from the ones below them; a file that fails any of this raises
 CacheCorruptionError naming the file and the offending entry instead of
-returning bad numbers.
+returning bad numbers. A file that cannot be written raises CacheError
+naming the file.
 """
 
 from __future__ import annotations
@@ -14,25 +15,30 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from pathlib import Path
 
-from .special import BernoulliTable, bernoulli_table
+from .special import BernoulliTable, bernoulli_step, bernoulli_table
 
 CACHE_FORMAT_VERSION = 1
 SPOT_CHECK_COUNT = 5
 
 
-class CacheCorruptionError(Exception):
+class CacheError(Exception):
+    """A cache file could not be used; the message names the file."""
+
+
+class CacheCorruptionError(CacheError):
     """A cache file failed validation; the message names the file and, where
     it applies, the entry index."""
 
 
 def save_bernoulli_cache(path, table: BernoulliTable) -> None:
-    """Write the table to path atomically (temp file, then replace)."""
+    """Write the table to path atomically: a temp file of its own in the same
+    directory, then replace, so concurrent writers never share a temp file."""
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "max_index": table.max_index,
@@ -41,9 +47,18 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
             for i, v in enumerate(table.values)
         ],
     }
-    tmp = p.with_suffix(p.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1), encoding="ascii")
-    os.replace(tmp, p)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(json.dumps(payload, indent=1))
+            os.replace(tmp, p)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CacheError(f"cache file {p}: cannot write: {exc}") from exc
 
 
 def _entry_value(path: Path, entry, expect_index: int) -> Fraction:
@@ -70,16 +85,6 @@ def _entry_value(path: Path, entry, expect_index: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _rederive(values: list[Fraction], i: int) -> Fraction:
-    # B_i from the entries below it, via sum_{k<=n} C(n+1,k) B_k = 0
-    if i == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(i):
-        acc += comb(i + 1, k) * values[k]
-    return -acc / (i + 1)
-
-
 def load_bernoulli_cache(path) -> BernoulliTable:
     """Read and validate a cache file. Spot-checks five random entries by
     re-deriving them from the entries below."""
@@ -88,7 +93,9 @@ def load_bernoulli_cache(path) -> BernoulliTable:
         raw = json.loads(p.read_text(encoding="ascii"))
     except (OSError, ValueError) as exc:
         raise CacheCorruptionError(f"cache file {p}: unreadable: {exc}") from exc
-    if not isinstance(raw, dict) or raw.get("format_version") != CACHE_FORMAT_VERSION:
+    if not isinstance(raw, dict):
+        raise CacheCorruptionError(f"cache file {p}: top level is not a JSON object")
+    if raw.get("format_version") != CACHE_FORMAT_VERSION:
         raise CacheCorruptionError(
             f"cache file {p}: format_version {raw.get('format_version')!r} "
             f"is not {CACHE_FORMAT_VERSION}"
@@ -103,7 +110,7 @@ def load_bernoulli_cache(path) -> BernoulliTable:
         )
     values = [_entry_value(p, entry, i) for i, entry in enumerate(entries)]
     for i in random.sample(range(len(values)), min(SPOT_CHECK_COUNT, len(values))):
-        if _rederive(values, i) != values[i]:
+        if bernoulli_step(values, i) != values[i]:
             raise CacheCorruptionError(
                 f"cache file {p}: entry {i} fails re-derivation"
             )

@@ -5,7 +5,8 @@ Three subcommands: `bernoulli` and `genocchi` emit number tables,
 diagnostics go to stderr. In JSON output every number that can grow
 without bound is a decimal string, never a native number, so output
 survives parsers with 53-bit integers. Exit codes: 0 success, 1 at
-least one verification failure, 2 usage or configuration error.
+least one verification failure, 2 usage, configuration or cache error,
+3 an internal cross-check failed (a bug, never a counterexample).
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-from .cache import CacheCorruptionError, get_or_build
+from .cache import CacheError, get_or_build
+from .exact import ConsistencyError
 from .special import BernoulliTable, gen_genocchi_table
-from .verify import TheoremId, VerificationReport, _NEEDS_BERNOULLI, run_grid
+from .verify import STATEMENTS, TheoremId, VerificationReport, run_grid
 
 VERIFY_CSV_COLUMNS = [
     "kind", "theorem", "n_min", "n_max", "a_min", "a_max",
@@ -165,7 +167,7 @@ def cmd_verify(args) -> int:
         theorems = [TheoremId(args.theorem)]
 
     bernoulli = None
-    if any(t in _NEEDS_BERNOULLI for t in theorems):
+    if any(STATEMENTS[t].bernoulli_offset is not None for t in theorems):
         cache_path = args.cache_path or default_cache_path()
         bernoulli = get_or_build(cache_path, args.n_max)
 
@@ -264,9 +266,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CacheCorruptionError, ValueError) as exc:
+    except (CacheError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

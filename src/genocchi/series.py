@@ -18,8 +18,6 @@ from math import comb
 
 from .exact import ConsistencyError
 
-DEFAULT_ORDER = 64
-
 
 @dataclass(frozen=True)
 class EgfSeries:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import ConsistencyError, den, factorize, is_prime, padic_valuation, primes_up_to
+from .exact import ConsistencyError, den, factorize, is_prime, padic_valuation
 from .series import EgfSeries, exp_sum_series, series_mul, series_reciprocal
 
 
@@ -50,15 +50,15 @@ class BernoulliTable:
         return self.values[n]
 
 
-def _bernoulli_recurrence(max_index: int) -> list[Fraction]:
-    # sum_{k<=n} C(n+1,k) B_k = 0 for n >= 1, solved for B_n
-    values = [Fraction(1)]
-    for n in range(1, max_index + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += comb(n + 1, k) * values[k]
-        values.append(-acc / (n + 1))
-    return values
+def bernoulli_step(values, n: int) -> Fraction:
+    """B_n from B_0..B_{n-1} (only those are read): B_0 = 1, and for n >= 1
+    the classical recurrence sum_{k<=n} C(n+1,k) B_k = 0 solved for B_n."""
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for k in range(n):
+        acc += comb(n + 1, k) * values[k]
+    return -acc / (n + 1)
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:
@@ -69,7 +69,9 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
         raise ValueError(f"max_index must be nonnegative, got {max_index}")
     gen = EgfSeries(tuple(Fraction(1, n + 1) for n in range(max_index + 1)))
     by_series = series_reciprocal(gen).coeffs
-    by_recurrence = _bernoulli_recurrence(max_index)
+    by_recurrence: list[Fraction] = []
+    for n in range(max_index + 1):
+        by_recurrence.append(bernoulli_step(by_recurrence, n))
     if list(by_series) != by_recurrence:
         raise ConsistencyError(
             "series and recurrence routes to the Bernoulli numbers disagree"
@@ -77,25 +79,9 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
     return BernoulliTable(by_series)
 
 
-def _integral_values(coeffs, what: str) -> list[int]:
-    out = []
-    for n, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise ConsistencyError(f"{what} came out non-integral at index {n}: {c}")
-        out.append(c.numerator)
-    return out
-
-
 def genocchi_table(n_max: int) -> list[int]:
-    """G_0..G_n_max from 2t / (e^t + 1)."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    denom = EgfSeries((Fraction(2),) + (Fraction(1),) * n_max)
-    numer = [Fraction(0)] * (n_max + 1)
-    if n_max >= 1:
-        numer[1] = Fraction(2)
-    prod = series_mul(EgfSeries(tuple(numer)), series_reciprocal(denom))
-    return _integral_values(prod.coeffs, "Genocchi number")
+    """G_0..G_n_max from 2t / (e^t + 1), the base-2 generalized column."""
+    return gen_genocchi_table(2, n_max)
 
 
 def genocchi(n: int) -> int:
@@ -118,7 +104,14 @@ def gen_genocchi_table(a: int, n_max: int, order: int | None = None) -> list[int
     if order >= 1:
         numer[1] = Fraction(a)
     prod = series_mul(EgfSeries(tuple(numer)), series_reciprocal(denom))
-    return _integral_values(prod.coeffs[: n_max + 1], f"generalized Genocchi (a={a})")
+    values = []
+    for n, c in enumerate(prod.coeffs[: n_max + 1]):
+        if c.denominator != 1:
+            raise ConsistencyError(
+                f"generalized Genocchi (a={a}) came out non-integral at index {n}: {c}"
+            )
+        values.append(c.numerator)
+    return values
 
 
 def gen_genocchi_egf(n: int, a: int) -> int:
@@ -162,18 +155,15 @@ def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:
     return acc
 
 
-def check_valuation_bound(n: int, table: BernoulliTable, prime_bound: int = 100) -> bool:
-    """Whether nu_p(B_n) >= -1 for every prime p <= prime_bound and for every
-    prime dividing den(B_n). Equivalent to den(B_n) being squarefree when the
-    second scan passes."""
+def check_valuation_bound(n: int, table: BernoulliTable) -> bool:
+    """Whether nu_p(B_n) >= -1 at every prime p, that is, whether den(B_n)
+    is squarefree. Only primes dividing den(B_n) can have nu_p < 0, so those
+    are the primes scanned."""
     if table.max_index < n:
         raise ValueError(
             f"Bernoulli table covers indices up to {table.max_index}, need {n}"
         )
     x = table.values[n]
-    for p in primes_up_to(prime_bound):
-        if not padic_valuation(x, p) >= -1:
-            return False
     for p, _ in factorize(den(x)):
         if not padic_valuation(x, p) >= -1:
             return False

@@ -11,6 +11,7 @@ rejecting a false statement.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,36 +50,6 @@ class TheoremId(Enum):
     VSC_INTEGRALITY = "vsc_integrality"
     PROP1_IDC = "prop1_idc"
     PROP2_EQUIV = "prop2_equiv"
-
-
-# statements that draw points from an a-range; the others ignore it
-_A_BASED = frozenset(
-    {
-        TheoremId.LEMMA_N_DIV,
-        TheoremId.THEOREM1,
-        TheoremId.THEOREM2,
-        TheoremId.COROLLARY2,
-        TheoremId.GCD_COROLLARY,
-        TheoremId.PROP2_EQUIV,
-    }
-)
-
-# statements checked only at even n
-_EVEN_ONLY = frozenset({TheoremId.ODD_GENOCCHI, TheoremId.VSC_INTEGRALITY})
-
-_MIN_N = {
-    TheoremId.LEMMA_N_DIV: 1,
-    TheoremId.THEOREM1: 1,
-    TheoremId.THEOREM2: 2,
-    TheoremId.COROLLARY2: 1,
-    TheoremId.GCD_COROLLARY: 2,
-    TheoremId.ODD_GENOCCHI: 2,
-    TheoremId.VSC_INTEGRALITY: 2,
-    TheoremId.PROP1_IDC: 1,
-    TheoremId.PROP2_EQUIV: 1,
-}
-
-_NEEDS_BERNOULLI = frozenset({TheoremId.VSC_INTEGRALITY, TheoremId.PROP2_EQUIV})
 
 
 @dataclass(frozen=True)
@@ -190,125 +161,149 @@ def _prop1_trial_series(trial: int, order: int) -> EgfSeries:
     return EgfSeries(tuple(Fraction(c) for c in coeffs))
 
 
-def _column_n_values(theorem: TheoremId, a: int | None, n_lo: int, n_hi: int) -> range:
-    if theorem in _EVEN_ONLY:
-        start = n_lo if n_lo % 2 == 0 else n_lo + 1
-        return range(start, n_hi + 1, 2)
-    if theorem is TheoremId.COROLLARY2 and a is not None and a % 2 == 0:
-        return range(max(n_lo, 2), n_hi + 1)
-    return range(n_lo, n_hi + 1)
+# A statement's table, and the ways a point fails. These reach package
+# functions through module globals at call time, so rebinding a module
+# attribute (as a tracer does) takes effect here too.
+
+
+def _column(a: int | None, n_hi: int, order: int | None) -> list[int]:
+    """The base-a column, or the classical column for a statement without bases."""
+    return genocchi_table(n_hi) if a is None else gen_genocchi_table(a, n_hi, order)
+
+
+def _lemma_n_div_failures(n, a, g, bern, order):
+    if not check_lemma_n_divides(n, a, g):
+        r = (pow(a, n - 1, n) * g) % n
+        yield f"a^(n-1)*G = {r} (mod {n}) with G = {g}", f"0 (mod {n})"
+
+
+def _theorem1_failures(n, a, g, bern, order):
+    if not check_theorem1(n, a, g):
+        pi = coprime_part(n, a)
+        yield f"G = {g} = {g % pi} (mod {pi})", f"0 (mod {pi})"
+
+
+def _theorem2_failures(n, a, g, bern, order):
+    if not check_theorem2(n, a, g).holds:
+        diff = Fraction(g) - (1 - Fraction(n, 2) * a)
+        yield f"num(G - (1 - n*a/2)) = {num(diff)}", f"0 (mod {a})"
+
+
+def _corollary2_failures(n, a, g, bern, order):
+    if not check_corollary2(n, a, g):
+        yield f"G = {g % a} (mod {a})", f"{_corollary2_target(n, a) % a} (mod {a})"
+
+
+def _gcd_corollary_failures(n, a, g, bern, order):
+    if not check_gcd_corollary(n, a, g):
+        expected = "1, or 2 exactly when a = 2 (mod 4) and n is odd"
+        yield f"gcd(G, a) = {gcd(g, a)} with G = {g}", expected
+
+
+def _odd_genocchi_failures(n, a, g, bern, order):
+    if not check_even_genocchi_odd(n, g):
+        yield f"G_{n} = {g}", "an odd integer"
+
+
+def _vsc_integrality_failures(n, a, g, bern, order):
+    s = von_staudt_clausen_sum(n, bern)
+    if s.denominator != 1:
+        yield f"B_n + sum 1/p = {s}", "an integer"
+    if not check_valuation_bound(n, bern):
+        yield f"some nu_p(B_{n}) < -1", "nu_p >= -1 at every prime"
+
+
+def _prop1_idc_failures(n, a, g, bern, order):
+    # n is the trial index
+    trial_order = order if order is not None else PROP1_DEFAULT_ORDER
+    try:
+        idc_reciprocal_scaled(_prop1_trial_series(n, trial_order))
+    except ConsistencyError:
+        yield (
+            f"scaled reciprocal left the integers (trial {n})",
+            f"integer coefficients through order {trial_order}",
+        )
+
+
+def _prop2_equiv_failures(n, a, g, bern, order):
+    by_sum = gen_genocchi_bernoulli(n, a, bern)
+    if by_sum != g:
+        yield f"series route {g}, Bernoulli route {by_sum}", "exact equality"
+
+
+@dataclass(frozen=True)
+class Statement:
+    """Everything the grid runner knows about one statement.
+
+    A statement without bases runs as a single column with a = None. When
+    `table` is set, each point's value g comes from the base-a column, or
+    from the classical column when a is None; otherwise g is None. A
+    mutation bumps a table value, so only statements with a table take one.
+    `describe(n, a, g, bern, order)` yields one (observed, expected) pair per
+    way the point fails, and nothing when it holds.
+    """
+
+    describe: Callable[..., Iterator[tuple[str, str]]]
+    min_n: int = 1
+    even_only: bool = False
+    even_base_min_n: int = 1  # smallest n checked at an even base
+    over_a: bool = False
+    table: bool = False
+    bernoulli_offset: int | None = None  # needs B_0..B_{n_hi + offset}
+    note: str | None = None
+
+    def n_values(self, a: int | None, n_lo: int, n_hi: int) -> range:
+        """The n checked at base a, within the clamped [n_lo, n_hi]."""
+        if self.even_only:
+            return range(n_lo + n_lo % 2, n_hi + 1, 2)
+        if a is not None and a % 2 == 0:
+            n_lo = max(n_lo, self.even_base_min_n)
+        return range(n_lo, n_hi + 1)
+
+
+STATEMENTS: dict[TheoremId, Statement] = {
+    TheoremId.LEMMA_N_DIV: Statement(_lemma_n_div_failures, over_a=True, table=True),
+    TheoremId.THEOREM1: Statement(_theorem1_failures, over_a=True, table=True),
+    TheoremId.THEOREM2: Statement(_theorem2_failures, min_n=2, over_a=True, table=True),
+    TheoremId.COROLLARY2: Statement(
+        _corollary2_failures,
+        even_base_min_n=2,
+        over_a=True,
+        table=True,
+        note="even bases checked for n >= 2, odd bases for n >= 1",
+    ),
+    TheoremId.GCD_COROLLARY: Statement(_gcd_corollary_failures, min_n=2, over_a=True, table=True),
+    TheoremId.ODD_GENOCCHI: Statement(_odd_genocchi_failures, min_n=2, even_only=True, table=True),
+    TheoremId.VSC_INTEGRALITY: Statement(
+        _vsc_integrality_failures, min_n=2, even_only=True, bernoulli_offset=0
+    ),
+    TheoremId.PROP1_IDC: Statement(_prop1_idc_failures),
+    TheoremId.PROP2_EQUIV: Statement(
+        _prop2_equiv_failures, over_a=True, table=True, bernoulli_offset=-1
+    ),
+}
 
 
 def _evaluate_column(task) -> tuple[int, list[GridFailure]]:
-    """Check every n of one a-column. Shaped as a single-argument callable so
-    it can run under a process pool."""
-    theorem, a, n_lo, n_hi, order, mutate, bern_values = task
-    table = gen_genocchi_table(a, n_hi, order)
-    if mutate is not None and mutate[1] == a and mutate[0] <= n_hi:
-        table = list(table)
-        table[mutate[0]] += 1
-    bern = BernoulliTable(bern_values) if bern_values is not None else None
-    failures: list[GridFailure] = []
-    checked = 0
-    for n in _column_n_values(theorem, a, n_lo, n_hi):
-        checked += 1
-        g = table[n]
-        if theorem is TheoremId.LEMMA_N_DIV:
-            if not check_lemma_n_divides(n, a, g):
-                r = (pow(a, n - 1, n) * g) % n
-                failures.append(
-                    GridFailure(n, a, f"a^(n-1)*G = {r} (mod {n}) with G = {g}", f"0 (mod {n})")
-                )
-        elif theorem is TheoremId.THEOREM1:
-            pi = coprime_part(n, a)
-            if g % pi != 0:
-                failures.append(
-                    GridFailure(n, a, f"G = {g} = {g % pi} (mod {pi})", f"0 (mod {pi})")
-                )
-        elif theorem is TheoremId.THEOREM2:
-            judgment = check_theorem2(n, a, g)
-            if not judgment.holds:
-                diff = Fraction(g) - (1 - Fraction(n, 2) * a)
-                failures.append(
-                    GridFailure(
-                        n, a, f"num(G - (1 - n*a/2)) = {num(diff)}", f"0 (mod {a})"
-                    )
-                )
-        elif theorem is TheoremId.COROLLARY2:
-            if not check_corollary2(n, a, g):
-                target = _corollary2_target(n, a)
-                failures.append(
-                    GridFailure(
-                        n, a, f"G = {g % a} (mod {a})", f"{target % a} (mod {a})"
-                    )
-                )
-        elif theorem is TheoremId.GCD_COROLLARY:
-            if not check_gcd_corollary(n, a, g):
-                d = gcd(g, a)
-                failures.append(
-                    GridFailure(
-                        n,
-                        a,
-                        f"gcd(G, a) = {d} with G = {g}",
-                        "1, or 2 exactly when a = 2 (mod 4) and n is odd",
-                    )
-                )
-        else:  # PROP2_EQUIV
-            by_sum = gen_genocchi_bernoulli(n, a, bern)
-            if by_sum != g:
-                failures.append(
-                    GridFailure(
-                        n, a, f"series route {g}, Bernoulli route {by_sum}", "exact equality"
-                    )
-                )
-    return checked, failures
-
-
-def _evaluate_rowless(theorem, n_lo, n_hi, order, mutate, bern):
-    """The a-independent statements: one pass over n."""
-    failures: list[GridFailure] = []
-    checked = 0
-    if theorem is TheoremId.ODD_GENOCCHI:
-        table = genocchi_table(n_hi)
-        if mutate is not None:
-            table = list(table)
-            table[mutate[0]] += 1
-        for n in _column_n_values(theorem, None, n_lo, n_hi):
-            checked += 1
-            g = table[n]
-            if not check_even_genocchi_odd(n, g):
-                failures.append(GridFailure(n, None, f"G_{n} = {g}", "an odd integer"))
-    elif theorem is TheoremId.VSC_INTEGRALITY:
-        for n in _column_n_values(theorem, None, n_lo, n_hi):
-            checked += 1
-            s = von_staudt_clausen_sum(n, bern)
-            if s.denominator != 1:
-                failures.append(
-                    GridFailure(n, None, f"B_n + sum 1/p = {s}", "an integer")
-                )
-            if not check_valuation_bound(n, bern):
-                failures.append(
-                    GridFailure(
-                        n, None, f"some nu_p(B_{n}) < -1", "nu_p >= -1 at every prime"
-                    )
-                )
-    else:  # PROP1_IDC
-        trial_order = order if order is not None else PROP1_DEFAULT_ORDER
-        for trial in range(n_lo, n_hi + 1):
-            checked += 1
-            f = _prop1_trial_series(trial, trial_order)
-            try:
-                idc_reciprocal_scaled(f)
-            except ConsistencyError:
-                failures.append(
-                    GridFailure(
-                        trial,
-                        None,
-                        f"scaled reciprocal left the integers (trial {trial})",
-                        f"integer coefficients through order {trial_order}",
-                    )
-                )
-    return checked, failures
+    """Check every n of one column. Shaped as a single-argument callable so
+    it can run under a process pool; the task names its statement by
+    TheoremId because the functions in a record do not pickle."""
+    theorem, a, n_lo, n_hi, order, mutate, bern = task
+    statement = STATEMENTS[theorem]
+    values = None
+    if statement.table:
+        values = _column(a, n_hi, order)
+        if mutate is not None and (a is None or mutate[1] == a):
+            values[mutate[0]] += 1
+    n_values = statement.n_values(a, n_lo, n_hi)
+    failures = [
+        GridFailure(n, a, observed, expected)
+        for n in n_values
+        for observed, expected in statement.describe(
+            n, a, None if values is None else values[n], bern, order
+        )
+    ]
+    return len(n_values), failures
 
 
 def run_grid(
@@ -330,20 +325,20 @@ def run_grid(
     reports apart from elapsed_s.
     """
     start = perf_counter()
+    statement = STATEMENTS[theorem]
     notes: list[str] = []
     n_lo, n_hi = n_range
-    min_n = _MIN_N[theorem]
-    if n_lo < min_n:
-        notes.append(f"n raised from {n_lo} to {min_n} ({theorem.value} hypothesis)")
-        n_lo = min_n
-    if theorem in _EVEN_ONLY and n_lo % 2 != 0:
+    if n_lo < statement.min_n:
+        notes.append(f"n raised from {n_lo} to {statement.min_n} ({theorem.value} hypothesis)")
+        n_lo = statement.min_n
+    if statement.even_only and n_lo % 2 != 0:
         notes.append(f"{theorem.value} checks even n only")
-    if n_lo > n_hi or not _column_n_values(theorem, None, n_lo, n_hi):
+    if n_lo > n_hi:
         raise ValueError(f"empty n-range for {theorem.value}: {n_range}")
 
-    uses_a = theorem in _A_BASED
     a_lo = a_hi = None
-    if uses_a:
+    bases = (None,)
+    if statement.over_a:
         if a_range is None:
             raise ValueError(f"{theorem.value} needs an a-range")
         a_lo, a_hi = a_range
@@ -352,68 +347,53 @@ def run_grid(
             a_lo = 2
         if a_lo > a_hi:
             raise ValueError(f"empty a-range for {theorem.value}: {a_range}")
-        if theorem is TheoremId.COROLLARY2:
-            notes.append("even bases checked for n >= 2, odd bases for n >= 1")
+        bases = range(a_lo, a_hi + 1)
     elif a_range is not None:
         notes.append(f"{theorem.value} does not range over a; a-range ignored")
+    if statement.note is not None:
+        notes.append(statement.note)
+    if not any(statement.n_values(a, n_lo, n_hi) for a in bases):
+        raise ValueError(f"empty n-range for {theorem.value}: {n_range}")
 
-    _validate_mutation(theorem, mutate, n_lo, n_hi, a_lo, a_hi)
     if mutate is not None:
-        notes.append(f"mutation applied at (n={mutate[0]}, a={mutate[1]})")
+        mn, ma = mutate
+        if not statement.table:
+            raise ValueError(f"mutation is not supported for {theorem.value}")
+        if not statement.over_a:
+            if ma != 2:
+                raise ValueError(f"{theorem.value} tables are the a = 2 column; use a = 2")
+        elif not (a_lo <= ma <= a_hi):
+            raise ValueError(f"mutation target a = {ma} is outside [{a_lo}, {a_hi}]")
+        if mn not in statement.n_values(ma if statement.over_a else None, n_lo, n_hi):
+            why = "outside the checked range"
+            if statement.even_only:
+                why = "not a checked even index"
+            raise ValueError(f"mutation target n = {mn} is {why}")
+        notes.append(f"mutation applied at (n={mn}, a={ma})")
 
     bern = None
-    if theorem in _NEEDS_BERNOULLI:
+    if statement.bernoulli_offset is not None:
         bern = bernoulli if bernoulli is not None else bernoulli_table(n_hi)
-        needed = n_hi - 1 if theorem is TheoremId.PROP2_EQUIV else n_hi
+        needed = n_hi + statement.bernoulli_offset
         if bern.max_index < needed:
             raise ValueError(
                 f"Bernoulli table covers indices up to {bern.max_index}, grid needs {needed}"
             )
 
-    failures: list[GridFailure] = []
-    checked = 0
-    if uses_a:
-        bern_values = bern.values if theorem is TheoremId.PROP2_EQUIV else None
-        tasks = [
-            (theorem, a, n_lo, n_hi, order, mutate, bern_values)
-            for a in range(a_lo, a_hi + 1)
-        ]
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_evaluate_column, tasks))
-        else:
-            results = [_evaluate_column(t) for t in tasks]
-        for col_checked, col_failures in results:
-            checked += col_checked
-            failures.extend(col_failures)
+    tasks = [(theorem, a, n_lo, n_hi, order, mutate, bern) for a in bases]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_evaluate_column, tasks))
     else:
-        checked, failures = _evaluate_rowless(theorem, n_lo, n_hi, order, mutate, bern)
-
+        results = [_evaluate_column(t) for t in tasks]
+    failures = [f for _, col_failures in results for f in col_failures]
     failures.sort(key=lambda fl: (fl.n, fl.a if fl.a is not None else 0))
     return VerificationReport(
         theorem=theorem,
         n_range=(n_lo, n_hi),
-        a_range=(a_lo, a_hi) if uses_a else None,
-        checked=checked,
+        a_range=(a_lo, a_hi) if statement.over_a else None,
+        checked=sum(col_checked for col_checked, _ in results),
         failures=tuple(failures),
         notes=tuple(notes),
         elapsed_s=perf_counter() - start,
     )
-
-
-def _validate_mutation(theorem, mutate, n_lo, n_hi, a_lo, a_hi) -> None:
-    if mutate is None:
-        return
-    if theorem in (TheoremId.VSC_INTEGRALITY, TheoremId.PROP1_IDC):
-        raise ValueError(f"mutation is not supported for {theorem.value}")
-    mn, ma = mutate
-    if theorem is TheoremId.ODD_GENOCCHI:
-        if ma != 2:
-            raise ValueError("odd_genocchi tables are the a = 2 column; use a = 2")
-        if not (n_lo <= mn <= n_hi) or mn % 2 != 0:
-            raise ValueError(f"mutation target n = {mn} is not a checked even index")
-        return
-    if not (a_lo <= ma <= a_hi):
-        raise ValueError(f"mutation target a = {ma} is outside [{a_lo}, {a_hi}]")
-    if mn not in _column_n_values(theorem, ma, n_lo, n_hi):
-        raise ValueError(f"mutation target n = {mn} is outside the checked range")

@@ -6,6 +6,7 @@ import pytest
 
 from genocchi.cache import (
     CacheCorruptionError,
+    CacheError,
     get_or_build,
     load_bernoulli_cache,
     save_bernoulli_cache,
@@ -38,6 +39,20 @@ class TestRoundTrip:
         table = bernoulli_table(0)
         save_bernoulli_cache(path, table)
         assert load_bernoulli_cache(path) == table
+
+    def test_stale_temp_name_does_not_block_saving(self, tmp_path):
+        path = tmp_path / "b.json"
+        (tmp_path / "b.json.tmp").mkdir()
+        save_bernoulli_cache(path, bernoulli_table(6))
+        assert load_bernoulli_cache(path).max_index == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "b.json.tmp"]
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(CacheError, match="b.json"):
+            save_bernoulli_cache(path, bernoulli_table(6))
+        assert [p.name for p in tmp_path.iterdir()] == ["b.json"]
 
     def test_file_is_plain_ascii_json(self, tmp_path):
         path = tmp_path / "b.json"

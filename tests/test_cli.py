@@ -10,6 +10,7 @@ from genocchi.cli import (
     render_reports_csv,
     render_reports_json,
 )
+from genocchi.exact import ConsistencyError
 from genocchi.special import bernoulli_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
@@ -115,6 +116,17 @@ class TestBernoulliCommand:
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
         assert str(path) in err and "entry" in err
+        path.write_text("[]")
+        code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
+        assert code == 2
+        assert str(path) in err and "object" in err
+
+    def test_unwritable_cache_exits_two_and_names_the_file(self, capsys, tmp_path):
+        parent = tmp_path / "not-a-dir"
+        parent.write_text("")
+        path = parent / "b.json"
+        code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
+        assert code == 2 and str(path) in err
 
     def test_negative_n_max_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -159,6 +171,15 @@ class TestGenocchiCommand:
     def test_order_below_n_max_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "genocchi", "--n-max", "10", "--a", "3", "--order", "4")
         assert code == 2
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ConsistencyError("routes disagree")
+
+        monkeypatch.setattr("genocchi.cli.gen_genocchi_table", broken)
+        code, out, err = run_cli(capsys, "genocchi", "--n-max", "4")
+        assert code == 3
+        assert out == "" and "routes disagree" in err
 
 
 class TestVerifyCommand:

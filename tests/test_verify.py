@@ -6,6 +6,7 @@ import pytest
 from genocchi.exact import coprime_part
 from genocchi.special import bernoulli_table, gen_genocchi_egf
 from genocchi.verify import (
+    STATEMENTS,
     GridFailure,
     TheoremId,
     check_corollary2,
@@ -81,6 +82,11 @@ class TestPointChecks:
             check_even_genocchi_odd(7)
 
 
+class TestStatementRegistry:
+    def test_one_record_per_statement(self):
+        assert list(STATEMENTS) == list(TheoremId)
+
+
 class TestGridCounting:
     def test_rectangular_grids(self):
         r = run_grid(TheoremId.THEOREM1, (1, 50), (2, 8))
@@ -130,6 +136,9 @@ class TestGridCounting:
             run_grid(TheoremId.THEOREM1, (1, 10), (2, 1))
         with pytest.raises(ValueError, match="empty"):
             run_grid(TheoremId.ODD_GENOCCHI, (3, 3), None)
+        with pytest.raises(ValueError, match="empty"):
+            # n = 1 is checked at odd bases only
+            run_grid(TheoremId.COROLLARY2, (1, 1), (2, 2))
 
     def test_a_range_required_when_used(self):
         with pytest.raises(ValueError, match="a-range"):
