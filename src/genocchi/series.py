@@ -8,6 +8,15 @@ coefficients are all integers is called an IDC series. IDC series are
 closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
 again IDC whenever f is (see idc_reciprocal_scaled).
+
+series_reciprocal has two paths, chosen from the input. An IDC series is
+inverted in Python ints: with c = a_0, the numerators s_n = c^(n+1) r_n
+obey an integer recurrence, and only the final r_n = s_n / c^(n+1) are
+made into Fractions. Any other series (in this package, the Bernoulli
+series 1/(n+1)) is inverted in Fractions, which keeps each coefficient
+reduced; clearing its denominators into one integer recurrence lets the
+numerators grow far faster: on the Bernoulli series that was 7x slower at
+order 150 and 32x slower at order 250 (CPython 3.11, one core).
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .exact import ConsistencyError
 
@@ -28,7 +38,9 @@ class EgfSeries:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a series needs at least its order-0 coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
+            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     @property
     def order(self) -> int:
@@ -49,22 +61,29 @@ def series_add(f: EgfSeries, g: EgfSeries) -> EgfSeries:
 
 
 def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
-    """Binomial convolution: out_n = sum_k C(n,k) f_k g_{n-k}."""
+    """Binomial convolution: out_n = sum_k C(n,k) f_k g_{n-k}, summed over
+    the nonzero f_k only, so a product with a monomial is O(N)."""
     _require_same_order(f, g, "series_mul")
+    terms = [(k, f_k) for k, f_k in enumerate(f.coeffs) if f_k]
     out = []
     for n in range(f.order + 1):
         acc = Fraction(0)
-        for k in range(n + 1):
-            acc += comb(n, k) * f.coeffs[k] * g.coeffs[n - k]
+        for k, f_k in terms:
+            if k > n:
+                break
+            acc += comb(n, k) * f_k * g.coeffs[n - k]
         out.append(acc)
     return EgfSeries(tuple(out))
 
 
 def series_reciprocal(f: EgfSeries) -> EgfSeries:
     """The series r with f*r = 1 up to the truncation order, by triangular
-    back-substitution. Requires a nonzero constant term."""
+    back-substitution. Requires a nonzero constant term. An IDC series is
+    inverted in integers (see the module docstring)."""
     if f.coeffs[0] == 0:
         raise ValueError("series_reciprocal needs a nonzero constant term")
+    if is_idc(f):
+        return _integral_reciprocal([a_n.numerator for a_n in f.coeffs])
     inv0 = 1 / f.coeffs[0]
     out = [inv0]
     for n in range(1, f.order + 1):
@@ -72,6 +91,33 @@ def series_reciprocal(f: EgfSeries) -> EgfSeries:
         for k in range(1, n + 1):
             acc += comb(n, k) * f.coeffs[k] * out[n - k]
         out.append(-inv0 * acc)
+    return EgfSeries(tuple(out))
+
+
+def _integral_reciprocal(a: list[int]) -> EgfSeries:
+    # f*r = 1 gives c*r_n = -sum_{k=1..n} C(n,k) a_k r_{n-k}; putting
+    # r_n = s_n / c^(n+1) turns it into s_n = -sum C(n,k) (a_k c^(k-1)) s_{n-k}
+    c = a[0]
+    terms = []  # (k, a_k c^(k-1)) for the nonzero a_k, k >= 1
+    power = 1
+    for k in range(1, len(a)):
+        if a[k]:
+            terms.append((k, a[k] * power))
+        power *= c
+    s = [1]
+    out = [Fraction(1, c)]
+    denom = c
+    row = [1]  # C(n, 0..n), one Pascal row per n
+    for n in range(1, len(a)):
+        row = [1, *map(add, row[1:], row), 1]
+        acc = 0
+        for k, w in terms:
+            if k > n:
+                break
+            acc += row[k] * w * s[n - k]
+        s.append(-acc)
+        denom *= c
+        out.append(Fraction(-acc, denom))
     return EgfSeries(tuple(out))
 
 

@@ -10,6 +10,7 @@ rejecting a false statement.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -321,8 +322,10 @@ def run_grid(
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
     one table value by 1 before checking, to prove the harness can fail.
-    Failures come back sorted by (n, a); two identical runs produce equal
-    reports apart from elapsed_s.
+    `order` below n_max is an error for every statement with a table. The
+    columns run on at most `jobs` worker processes, and never on more
+    than one per column or per CPU. Failures come back sorted by (n, a);
+    two identical runs produce equal reports apart from elapsed_s.
     """
     start = perf_counter()
     statement = STATEMENTS[theorem]
@@ -380,8 +383,12 @@ def run_grid(
                 f"Bernoulli table covers indices up to {bern.max_index}, grid needs {needed}"
             )
 
+    if statement.table and order is not None and order < n_hi:
+        raise ValueError(f"order {order} is below n_max {n_hi}")
+
     tasks = [(theorem, a, n_lo, n_hi, order, mutate, bern) for a in bases]
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_column, tasks))
     else:

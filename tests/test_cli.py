@@ -169,8 +169,14 @@ class TestGenocchiCommand:
         assert code == 2 and "--a" in err
 
     def test_order_below_n_max_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "genocchi", "--n-max", "10", "--a", "3", "--order", "4")
-        assert code == 2
+        for argv in (
+            ["genocchi", "--n-max", "10", "--a", "3", "--order", "4"],
+            ["verify", "theorem1", "--n-max", "10", "--a-max", "3", "--order", "4"],
+            ["verify", "odd_genocchi", "--n-max", "10", "--order", "4"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "order 4 is below n_max 10" in err, argv
 
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         def broken(*args):

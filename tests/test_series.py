@@ -107,9 +107,18 @@ class TestAddMul:
         # the binomial convolution must agree with the plain Cauchy product
         # after changing representation
         rng = random.Random(7)
-        for _ in range(50):
-            f = random_idc(rng, 12)
-            g = random_idc(rng, 12, constant_range=(-5, 5))
+        pairs = [
+            (random_idc(rng, 12), random_idc(rng, 12, constant_range=(-5, 5)))
+            for _ in range(50)
+        ]
+        # sparse f: the monomial a*t, and interior zeros
+        g = EgfSeries(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(13)))
+        pairs += [
+            (EgfSeries((0, 7) + (0,) * 11), g),
+            (EgfSeries((0, 0, -3, 0, 0, 0, 5, 0, 0, 0, 0, 0, 2)), g),
+            (EgfSeries((4,) + (0,) * 12), g),
+        ]
+        for f, g in pairs:
             via_binomial = series_mul(f, g).coeffs
             via_ordinary = diffs_from_ordinary(
                 ordinary_mul(
@@ -149,9 +158,18 @@ class TestReciprocal:
             assert series_mul(f, series_reciprocal(f)) == one_series(16)
 
     def test_matches_ordinary_coefficient_reciprocal(self):
+        # IDC inputs take the integer path, the rest the Fraction path
         rng = random.Random(13)
-        for _ in range(30):
-            f = random_idc(rng, 10)
+        inputs = [random_idc(rng, 10) for _ in range(30)]
+        inputs += [random_idc(rng, 10, constant_range=(-7, -1)) for _ in range(10)]
+        inputs += [random_idc(rng, 10, constant_range=(c, c)) for c in (1, -1) for _ in range(5)]
+        inputs += [
+            EgfSeries((3, 0, 0, 5, 0, 0, 0, -2, 0, 0, 0)),
+            EgfSeries((-2, 1) + (0,) * 9),
+            EgfSeries((Fraction(2, 3), Fraction(-1, 2), 0, Fraction(5, 7), 1, 0, 3)),
+            EgfSeries(tuple(Fraction(1, n + 1) for n in range(12))),
+        ]
+        for f in inputs:
             via_binomial = series_reciprocal(f).coeffs
             via_ordinary = diffs_from_ordinary(
                 ordinary_reciprocal(ordinary_from_diffs(list(f.coeffs)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from genocchi import special
 from genocchi.exact import den, factorize, is_prime
 from genocchi.special import (
     BernoulliTable,
@@ -104,6 +105,20 @@ class TestGenGenocchi:
     def test_matches_ordinary_route(self):
         for a in (3, 5, 8, 12):
             assert gen_genocchi_table(a, 24) == gen_genocchi_by_ordinary(a, 24)
+        for a in range(2, 7):
+            assert gen_genocchi_table(a, 40) == gen_genocchi_by_ordinary(a, 40)
+
+    def test_column_goes_through_the_series_layer(self, monkeypatch):
+        # the benchmark's trace expects one call of each per column
+        calls = {"series_reciprocal": 0, "series_mul": 0}
+        for name in calls:
+            def counting(*args, _inner=getattr(special, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(special, name, counting)
+        assert gen_genocchi_table(3, 8) == GEN_GENOCCHI_FROZEN[3]
+        assert calls == {"series_reciprocal": 1, "series_mul": 1}
 
     def test_low_indices(self):
         for a in range(2, 13):

@@ -1,6 +1,8 @@
 """Grid runner semantics: clamping, counting, determinism, counterexample
 capture, and the per-statement checks."""
 
+import os
+
 import pytest
 
 from genocchi.exact import coprime_part
@@ -161,6 +163,31 @@ class TestDeterminism:
         r1 = run_grid(TheoremId.THEOREM1, (1, 30), (2, 6), jobs=1)
         r2 = run_grid(TheoremId.THEOREM1, (1, 30), (2, 6), jobs=2)
         assert r1 == r2
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("genocchi.verify.ProcessPoolExecutor", RecordingPool)
+        serial = run_grid(TheoremId.THEOREM1, (1, 12), (2, 3))
+        # jobs 3 on two columns: at most one worker per column and per CPU
+        for cpus, expected in ((4, [2]), (1, []), (None, [])):
+            started.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_grid(TheoremId.THEOREM1, (1, 12), (2, 3), jobs=3) == serial
+            assert started == expected
 
     def test_prop1_trials_are_reproducible(self):
         assert _prop1_trial_series(9, 30) == _prop1_trial_series(9, 30)
