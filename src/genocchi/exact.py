@@ -13,9 +13,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
-
-Rat = Fraction
 
 DEFAULT_SIEVE_BOUND = 10**6
 
@@ -82,42 +81,32 @@ INFINITY = _InfiniteValuation()
 Valuation = int | _InfiniteValuation
 
 
-_sieve_cache: dict[int, tuple[list[int], frozenset[int]]] = {}
+@cache
+def _sieve() -> tuple[list[int], frozenset[int]]:
+    """The primes up to DEFAULT_SIEVE_BOUND, by a sieve of Eratosthenes."""
+    bound = DEFAULT_SIEVE_BOUND
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(bound) + 1):
+        if flags[p]:
+            start = p * p
+            flags[start :: p] = b"\x00" * len(range(start, bound + 1, p))
+    primes = [i for i, f in enumerate(flags) if f]
+    return primes, frozenset(primes)
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by a cached sieve of Eratosthenes."""
-    return _sieve(bound)[0]
-
-
-def _sieve(bound: int) -> tuple[list[int], frozenset[int]]:
-    if bound < 2:
-        return [], frozenset()
-    cached = _sieve_cache.get(bound)
-    if cached is None:
-        flags = bytearray([1]) * (bound + 1)
-        flags[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(bound) + 1):
-            if flags[p]:
-                start = p * p
-                flags[start :: p] = b"\x00" * len(range(start, bound + 1, p))
-        primes = [i for i, f in enumerate(flags) if f]
-        cached = (primes, frozenset(primes))
-        _sieve_cache[bound] = cached
-    return cached
-
-
-def is_prime(n: int, bound: int = DEFAULT_SIEVE_BOUND) -> bool:
-    """Primality by trial division against the sieve; exact for n <= bound**2."""
+def is_prime(n: int) -> bool:
+    """Primality by trial division against the sieve; exact for n up to the
+    square of DEFAULT_SIEVE_BOUND."""
     if n < 2:
         return False
-    primes, prime_set = _sieve(bound)
-    if n <= bound:
+    primes, prime_set = _sieve()
+    if n <= DEFAULT_SIEVE_BOUND:
         return n in prime_set
-    if n > bound * bound:
+    if n > DEFAULT_SIEVE_BOUND**2:
         raise ValueError(
             f"cannot decide primality of {n}: exceeds the square of the sieve "
-            f"bound {bound}; raise the bound"
+            f"bound {DEFAULT_SIEVE_BOUND}"
         )
     root = isqrt(n)
     for p in primes[: bisect.bisect_right(primes, root)]:
@@ -126,21 +115,21 @@ def is_prime(n: int, bound: int = DEFAULT_SIEVE_BOUND) -> bool:
     return True
 
 
-def factorize(n: int, bound: int = DEFAULT_SIEVE_BOUND) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs with primes
     strictly increasing. The empty list is the factorization of 1.
 
     Trial division against a precomputed sieve. The input itself may be
     arbitrarily large as long as it is smooth enough: only when the part
-    left after dividing out every sieve prime exceeds bound**2 (so its
-    primality cannot be certified) is the input rejected, never silently
-    mis-factored.
+    left after dividing out every sieve prime exceeds the square of
+    DEFAULT_SIEVE_BOUND (so its primality cannot be certified) is the input
+    rejected, never silently mis-factored.
     """
     if n < 1:
         raise ValueError(f"factorize needs a positive integer, got {n}")
     out: list[tuple[int, int]] = []
     rest = n
-    for p in _sieve(bound)[0]:
+    for p in _sieve()[0]:
         if p * p > rest:
             break
         if rest % p == 0:
@@ -150,12 +139,12 @@ def factorize(n: int, bound: int = DEFAULT_SIEVE_BOUND) -> list[tuple[int, int]]
                 e += 1
             out.append((p, e))
     if rest > 1:
-        if rest > bound * bound:
+        if rest > DEFAULT_SIEVE_BOUND**2:
             raise ValueError(
                 f"unfactored part {rest} of {n} exceeds the square of the "
-                f"sieve bound {bound}; raise the bound"
+                f"sieve bound {DEFAULT_SIEVE_BOUND}"
             )
-        # rest has no prime factor <= bound >= sqrt(rest), so rest is prime
+        # rest has no prime factor <= the bound >= sqrt(rest), so rest is prime
         out.append((rest, 1))
     return out
 

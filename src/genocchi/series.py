@@ -9,21 +9,18 @@ closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
 again IDC whenever f is (see idc_reciprocal_scaled).
 
-series_reciprocal has two paths, chosen from the input. An IDC series is
-inverted in Python ints: with c = a_0, the numerators s_n = c^(n+1) r_n
-obey an integer recurrence, and only the final r_n = s_n / c^(n+1) are
-made into Fractions. Any other series (in this package, the Bernoulli
-series 1/(n+1)) is inverted in Fractions, which keeps each coefficient
-reduced; clearing its denominators into one integer recurrence lets the
-numerators grow far faster: on the Bernoulli series that was 7x slower at
-order 150 and 32x slower at order 250 (CPython 3.11, one core).
+series_reciprocal runs in Python ints. With d the common denominator of
+the coefficients and c = d*a_0, the numerators s_n = c^(n+1) r_n obey an
+integer recurrence that starts at s_0 = d, and only the final
+r_n = s_n / c^(n+1) are made into Fractions. Every series this package
+inverts is IDC, so d is 1 there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 
 from .exact import ConsistencyError
@@ -50,20 +47,13 @@ class EgfSeries:
         return self.coeffs[n]
 
 
-def _require_same_order(f: EgfSeries, g: EgfSeries, op: str) -> None:
-    if f.order != g.order:
-        raise ValueError(f"{op} needs equal truncation orders, got {f.order} and {g.order}")
-
-
-def series_add(f: EgfSeries, g: EgfSeries) -> EgfSeries:
-    _require_same_order(f, g, "series_add")
-    return EgfSeries(tuple(x + y for x, y in zip(f.coeffs, g.coeffs)))
-
-
 def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
     """Binomial convolution: out_n = sum_k C(n,k) f_k g_{n-k}, summed over
     the nonzero f_k only, so a product with a monomial is O(N)."""
-    _require_same_order(f, g, "series_mul")
+    if f.order != g.order:
+        raise ValueError(
+            f"series_mul needs equal truncation orders, got {f.order} and {g.order}"
+        )
     terms = [(k, f_k) for k, f_k in enumerate(f.coeffs) if f_k]
     out = []
     for n in range(f.order + 1):
@@ -78,25 +68,15 @@ def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
 
 def series_reciprocal(f: EgfSeries) -> EgfSeries:
     """The series r with f*r = 1 up to the truncation order, by triangular
-    back-substitution. Requires a nonzero constant term. An IDC series is
-    inverted in integers (see the module docstring)."""
+    back-substitution in integers (see the module docstring). Requires a
+    nonzero constant term."""
     if f.coeffs[0] == 0:
         raise ValueError("series_reciprocal needs a nonzero constant term")
-    if is_idc(f):
-        return _integral_reciprocal([a_n.numerator for a_n in f.coeffs])
-    inv0 = 1 / f.coeffs[0]
-    out = [inv0]
-    for n in range(1, f.order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += comb(n, k) * f.coeffs[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return EgfSeries(tuple(out))
-
-
-def _integral_reciprocal(a: list[int]) -> EgfSeries:
-    # f*r = 1 gives c*r_n = -sum_{k=1..n} C(n,k) a_k r_{n-k}; putting
-    # r_n = s_n / c^(n+1) turns it into s_n = -sum C(n,k) (a_k c^(k-1)) s_{n-k}
+    # d times f*r = 1 gives c*r_n = -sum_{k=1..n} C(n,k) a_k r_{n-k} for the
+    # cleared a_k = d f_k, and c*r_0 = d; putting r_n = s_n / c^(n+1) turns
+    # it into s_n = -sum C(n,k) (a_k c^(k-1)) s_{n-k} with s_0 = d
+    d = lcm(*(f_k.denominator for f_k in f.coeffs))
+    a = [f_k.numerator * (d // f_k.denominator) for f_k in f.coeffs]
     c = a[0]
     terms = []  # (k, a_k c^(k-1)) for the nonzero a_k, k >= 1
     power = 1
@@ -104,8 +84,8 @@ def _integral_reciprocal(a: list[int]) -> EgfSeries:
         if a[k]:
             terms.append((k, a[k] * power))
         power *= c
-    s = [1]
-    out = [Fraction(1, c)]
+    s = [d]
+    out = [Fraction(d, c)]
     denom = c
     row = [1]  # C(n, 0..n), one Pascal row per n
     for n in range(1, len(a)):
@@ -130,16 +110,6 @@ def series_scale_arg(f: EgfSeries, c) -> EgfSeries:
         out.append(power * a_n)
         power *= c
     return EgfSeries(tuple(out))
-
-
-def series_shift_down(f: EgfSeries) -> EgfSeries:
-    """For f with f(0) = 0, the series of f(t)/t, one order shorter:
-    coefficient m becomes a_{m+1} / (m+1)."""
-    if f.coeffs[0] != 0:
-        raise ValueError("series_shift_down needs a vanishing constant term")
-    if f.order < 1:
-        raise ValueError("series_shift_down needs order >= 1")
-    return EgfSeries(tuple(f.coeffs[m + 1] / (m + 1) for m in range(f.order)))
 
 
 def exp_sum_series(a: int, order: int) -> EgfSeries:

@@ -1,6 +1,11 @@
 """Bernoulli numbers, Genocchi numbers, and their generalization to an
 integer base a >= 2, each computable by two independent routes.
 
+The Bernoulli numbers come from one integer kernel, the tangent numbers,
+and every table is checked against the base-2 Genocchi column through
+G_n = 2 (1 - 2^n) B_n; the disk cache re-derives its entries from the same
+kernel.
+
 Conventions, fixed by the generating functions used here:
 
   t / (e^t - 1)                      B_n   (so B_1 = -1/2)
@@ -50,33 +55,41 @@ class BernoulliTable:
         return self.values[n]
 
 
-def bernoulli_step(values, n: int) -> Fraction:
-    """B_n from B_0..B_{n-1} (only those are read): B_0 = 1, and for n >= 1
-    the classical recurrence sum_{k<=n} C(n+1,k) B_k = 0 solved for B_n."""
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += comb(n + 1, k) * values[k]
-    return -acc / (n + 1)
+def _tangent_bernoulli(max_index: int) -> list[Fraction]:
+    """B_0..B_max_index from the tangent numbers T_1..T_K, K = max_index // 2,
+    by algorithm TangentNumbers of Brent & Harvey (arXiv:1108.0286), which
+    runs in Python ints; then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    half = max_index // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, half + 1):
+        four_k = 4**k
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        values += [b if k % 2 else -b, Fraction(0)]
+    return values[: max_index + 1]
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:
-    """B_0..B_max_index, computed as the series reciprocal of (e^t - 1)/t
-    (differential coefficient n is 1/(n+1)) and cross-checked against the
-    classical recurrence before being returned."""
+    """B_0..B_max_index from the tangent-number kernel, each B_n (n >= 1)
+    cross-checked against the base-2 Genocchi column through
+    G_n = 2 (1 - 2^n) B_n before being returned. That column inverts
+    1 + e^t in integers and shares no algebra with the tangent recurrence."""
     if max_index < 0:
         raise ValueError(f"max_index must be nonnegative, got {max_index}")
-    gen = EgfSeries(tuple(Fraction(1, n + 1) for n in range(max_index + 1)))
-    by_series = series_reciprocal(gen).coeffs
-    by_recurrence: list[Fraction] = []
-    for n in range(max_index + 1):
-        by_recurrence.append(bernoulli_step(by_recurrence, n))
-    if list(by_series) != by_recurrence:
-        raise ConsistencyError(
-            "series and recurrence routes to the Bernoulli numbers disagree"
-        )
-    return BernoulliTable(by_series)
+    values = _tangent_bernoulli(max_index)
+    column = genocchi_table(max_index)
+    for n in range(1, max_index + 1):
+        b = values[n]
+        if column[n] * b.denominator != 2 * (1 - 2**n) * b.numerator:
+            raise ConsistencyError(
+                f"tangent-number B_{n} = {b} disagrees with G_{n} = {column[n]}"
+            )
+    return BernoulliTable(tuple(values))
 
 
 def genocchi_table(n_max: int) -> list[int]:

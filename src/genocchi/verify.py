@@ -322,7 +322,8 @@ def run_grid(
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
     one table value by 1 before checking, to prove the harness can fail.
-    `order` below n_max is an error for every statement with a table. The
+    `order` below n_max is an error for every statement with a table, and
+    `order` below 1 for prop1_idc, whose trials it sizes. The
     columns run on at most `jobs` worker processes, and never on more
     than one per column or per CPU. Failures come back sorted by (n, a);
     two identical runs produce equal reports apart from elapsed_s.
@@ -385,6 +386,9 @@ def run_grid(
 
     if statement.table and order is not None and order < n_hi:
         raise ValueError(f"order {order} is below n_max {n_hi}")
+    # a prop1 trial of order 0 is a constant, whose reciprocal is trivially IDC
+    if theorem is TheoremId.PROP1_IDC and order is not None and order < 1:
+        raise ValueError(f"order {order} is below 1 for {theorem.value}")
 
     tasks = [(theorem, a, n_lo, n_hi, order, mutate, bern) for a in bases]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)

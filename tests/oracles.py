@@ -90,6 +90,16 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def primes_by_trial(bound: int) -> list[int]:
+    """All primes <= bound, as the n whose naive factorization is n itself."""
+    return [n for n in range(2, bound + 1) if trial_factor(n) == [(n, 1)]]
+
+
+def coeffwise_add(c: list[Fraction], d: list[Fraction]) -> list[Fraction]:
+    """Sum of two coefficient lists of the same length, in either basis."""
+    return [x + y for x, y in zip(c, d, strict=True)]
+
+
 # Frozen values. Bernoulli and classical Genocchi entries agree with the
 # well-known tables (for instance B_12 = -691/2730); the generalized columns
 # were computed by gen_genocchi_by_ordinary and independently reproduced by
@@ -126,7 +136,7 @@ GEN_GENOCCHI_FROZEN = {
 # derivative values of 2/(e^{2t} + 1): the scaled reciprocal of e^t + 1
 SCALED_RECIPROCAL_FROZEN = [1, -1, 0, 2, 0, -16, 0, 272, 0]
 
-# derivative values of 2/(e^t + 1), the shift-down of 2t/(e^t + 1) at order 7
+# derivative values of 2/(e^t + 1), that is 2t/(e^t + 1) divided by t, to order 6
 GENOCCHI_SHIFTED_FROZEN = [
     Fraction(1),
     Fraction(-1, 2),

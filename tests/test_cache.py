@@ -28,7 +28,7 @@ class TestRoundTrip:
         assert load_bernoulli_cache(path) == table
 
     def test_repeated_loads_pass_spot_checks(self, tmp_path):
-        # the spot check samples fresh indices every load
+        # every load re-derives every entry, so each load checks the same way
         path = tmp_path / "b.json"
         save_bernoulli_cache(path, bernoulli_table(60))
         for _ in range(20):
@@ -78,9 +78,18 @@ class TestCorruption:
             assert fragment in str(info.value)
 
     def test_value_tamper_is_caught(self, cache_path):
-        # a changed entry breaks re-derivation of every later sampled index
+        # every entry is compared with its re-derived value
         _tamper(cache_path, lambda raw: raw["entries"][2].update(num="7"))
         self._expect_corruption(cache_path)
+
+    def test_last_entry_sign_flip_fails_every_load(self, cache_path):
+        def flip(raw):
+            entry = raw["entries"][40]
+            entry["num"] = str(-int(entry["num"]))
+
+        _tamper(cache_path, flip)
+        for _ in range(20):
+            self._expect_corruption(cache_path, "entry 40 fails re-derivation")
 
     def test_anchor_tamper_is_caught(self, cache_path):
         _tamper(cache_path, lambda raw: raw["entries"][1].update(num="1"))

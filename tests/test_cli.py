@@ -11,7 +11,7 @@ from genocchi.cli import (
     render_reports_json,
 )
 from genocchi.exact import ConsistencyError
-from genocchi.special import bernoulli_table
+from genocchi.special import bernoulli_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
 
@@ -177,15 +177,31 @@ class TestGenocchiCommand:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert "order 4 is below n_max 10" in err, argv
+        # prop1's order sizes its trial series; below 1 every trial is a constant
+        for order in ("0", "-2"):
+            code, _, err = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3", "--order", order)
+            assert code == 2, order
+            assert f"order {order} is below 1 for prop1_idc" in err, order
 
-    def test_internal_error_exits_three(self, capsys, monkeypatch):
+    def test_internal_error_exits_three(self, capsys, monkeypatch, tmp_path):
         def broken(*args):
             raise ConsistencyError("routes disagree")
 
+        def off_by_one(n_max):
+            column = genocchi_table(n_max)
+            column[6] += 1
+            return column
+
         monkeypatch.setattr("genocchi.cli.gen_genocchi_table", broken)
-        code, out, err = run_cli(capsys, "genocchi", "--n-max", "4")
-        assert code == 3
-        assert out == "" and "routes disagree" in err
+        monkeypatch.setattr("genocchi.special.genocchi_table", off_by_one)
+        for argv, fragment in (
+            (["genocchi", "--n-max", "4"], "routes disagree"),
+            (["bernoulli", "--n-max", "10", "--cache-path", str(tmp_path / "b.json")], "B_6"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert out == "" and "internal error" in err and fragment in err, argv
+        assert not (tmp_path / "b.json").exists()
 
 
 class TestVerifyCommand:

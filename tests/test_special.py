@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genocchi import special
-from genocchi.exact import den, factorize, is_prime
+from genocchi.exact import ConsistencyError, den, factorize, is_prime
 from genocchi.special import (
     BernoulliTable,
     bernoulli_table,
@@ -46,6 +46,31 @@ class TestBernoulliTable:
 
     def test_single_entry_table(self):
         assert bernoulli_table(0).values == (Fraction(1),)
+
+    @pytest.mark.parametrize("max_index", [1, 2, 3])
+    def test_short_tables_match_recurrence_oracle(self, max_index):
+        assert list(bernoulli_table(max_index).values) == bernoulli_recurrence(max_index)
+
+    def test_cross_check_builds_one_genocchi_column(self, monkeypatch):
+        calls = []
+
+        def counting(n_max):
+            calls.append(n_max)
+            return genocchi_table(n_max)
+
+        monkeypatch.setattr(special, "genocchi_table", counting)
+        assert bernoulli_table(30) == BernoulliTable(tuple(bernoulli_recurrence(30)))
+        assert calls == [30]
+
+    def test_cross_check_catches_one_wrong_genocchi_value(self, monkeypatch):
+        def off_by_one(n_max):
+            column = genocchi_table(n_max)
+            column[8] += 1
+            return column
+
+        monkeypatch.setattr(special, "genocchi_table", off_by_one)
+        with pytest.raises(ConsistencyError, match="B_8"):
+            bernoulli_table(10)
 
     def test_max_index(self, bern64):
         assert bern64.max_index == 64
