@@ -171,6 +171,7 @@ def cmd_verify(args) -> int:
         cache_path = args.cache_path or default_cache_path()
         bernoulli = get_or_build(cache_path, args.n_max)
 
+    columns = {}  # shared by the statements of this command only
     reports = []
     for theorem in theorems:
         report = run_grid(
@@ -181,6 +182,7 @@ def cmd_verify(args) -> int:
             jobs=args.jobs,
             mutate=args.mutate,
             bernoulli=bernoulli,
+            columns=columns,
         )
         reports.append(report)
         print(
@@ -260,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact values outgrow Python's default 4300-digit limit on int <-> str
+    # conversion (3.10.7 and later), in output and in cache files alike
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

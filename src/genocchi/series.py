@@ -9,8 +9,9 @@ closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
 again IDC whenever f is (see idc_reciprocal_scaled).
 
-series_reciprocal runs in Python ints. With d the common denominator of
-the coefficients and c = d*a_0, the numerators s_n = c^(n+1) r_n obey an
+series_reciprocal and idc_reciprocal_scaled share one back-substitution
+in Python ints. With d a common denominator of the coefficients and
+c = d*a_0, the numerators s_n = c^(n+1) r_n of the reciprocal obey an
 integer recurrence that starts at s_0 = d, and only the final
 r_n = s_n / c^(n+1) are made into Fractions. Every series this package
 inverts is IDC, so d is 1 there.
@@ -66,6 +67,30 @@ def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
     return EgfSeries(tuple(out))
 
 
+def _back_substitute(a: list[int], s0: int) -> list[int]:
+    """The integers s_0 = s0, s_n = -sum_{k=1..n} C(n,k) (a_k c^(k-1)) s_{n-k}
+    for c = a_0 != 0; then r_n = s_n / c^(n+1) is the reciprocal of the
+    series a / s0 (see the module docstring)."""
+    c = a[0]
+    terms = []  # (k, a_k c^(k-1)) for the nonzero a_k, k >= 1
+    power = 1
+    for k in range(1, len(a)):
+        if a[k]:
+            terms.append((k, a[k] * power))
+        power *= c
+    s = [s0]
+    row = [1]  # C(n, 0..n), one Pascal row per n
+    for n in range(1, len(a)):
+        row = [1, *map(add, row[1:], row), 1]
+        acc = 0
+        for k, w in terms:
+            if k > n:
+                break
+            acc += row[k] * w * s[n - k]
+        s.append(-acc)
+    return s
+
+
 def series_reciprocal(f: EgfSeries) -> EgfSeries:
     """The series r with f*r = 1 up to the truncation order, by triangular
     back-substitution in integers (see the module docstring). Requires a
@@ -77,38 +102,11 @@ def series_reciprocal(f: EgfSeries) -> EgfSeries:
     # it into s_n = -sum C(n,k) (a_k c^(k-1)) s_{n-k} with s_0 = d
     d = lcm(*(f_k.denominator for f_k in f.coeffs))
     a = [f_k.numerator * (d // f_k.denominator) for f_k in f.coeffs]
-    c = a[0]
-    terms = []  # (k, a_k c^(k-1)) for the nonzero a_k, k >= 1
-    power = 1
-    for k in range(1, len(a)):
-        if a[k]:
-            terms.append((k, a[k] * power))
-        power *= c
-    s = [d]
-    out = [Fraction(d, c)]
-    denom = c
-    row = [1]  # C(n, 0..n), one Pascal row per n
-    for n in range(1, len(a)):
-        row = [1, *map(add, row[1:], row), 1]
-        acc = 0
-        for k, w in terms:
-            if k > n:
-                break
-            acc += row[k] * w * s[n - k]
-        s.append(-acc)
-        denom *= c
-        out.append(Fraction(-acc, denom))
-    return EgfSeries(tuple(out))
-
-
-def series_scale_arg(f: EgfSeries, c) -> EgfSeries:
-    """The series of t -> f(c*t); coefficient n picks up a factor c^n."""
-    c = Fraction(c)
     out = []
-    power = Fraction(1)
-    for a_n in f.coeffs:
-        out.append(power * a_n)
-        power *= c
+    denom = 1
+    for s_n in _back_substitute(a, d):
+        denom *= a[0]
+        out.append(Fraction(s_n, denom))
     return EgfSeries(tuple(out))
 
 
@@ -136,11 +134,30 @@ def idc_reciprocal_scaled(f: EgfSeries) -> EgfSeries:
     result is IDC as well; that closure is checked on every call."""
     if f.coeffs[0] == 0:
         raise ValueError("idc_reciprocal_scaled needs a nonzero constant term")
-    a0 = f.coeffs[0]
-    rec = series_reciprocal(series_scale_arg(f, a0))
-    result = EgfSeries(tuple(a0 * c for c in rec.coeffs))
-    if is_idc(f) and not is_idc(result):
-        raise ConsistencyError(
-            "scaled reciprocal of an IDC series came out non-integral"
-        )
-    return result
+    # g = f(a_0 t) has g_k = f_k a_0^k; with a_0 = p/q and m the lcm of the
+    # denominators of f, d = m q^N clears every g_k. The reciprocal of g is
+    # s_n / c^(n+1) with c = d a_0, so coefficient n of a_0 / g is
+    # s_n / (d c^n). For IDC f, d = 1 and that division must be exact.
+    p, q = f.coeffs[0].numerator, f.coeffs[0].denominator
+    m = lcm(*(f_k.denominator for f_k in f.coeffs))
+    d = m * q**f.order
+    a = []
+    p_k, q_k = 1, d // m
+    for f_k in f.coeffs:
+        a.append(f_k.numerator * (m // f_k.denominator) * p_k * q_k)
+        p_k *= p
+        q_k //= q
+    out = []
+    denom = d
+    for n, s_n in enumerate(_back_substitute(a, d)):
+        if d == 1:
+            h_n, rem = divmod(s_n, denom)
+            if rem:
+                raise ConsistencyError(
+                    f"scaled reciprocal of an IDC series came out non-integral at index {n}"
+                )
+            out.append(Fraction(h_n))
+        else:
+            out.append(Fraction(s_n, denom))
+        denom *= a[0]
+    return EgfSeries(tuple(out))

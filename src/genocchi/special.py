@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm
 
 from .exact import ConsistencyError, den, factorize, is_prime, padic_valuation
 from .series import EgfSeries, exp_sum_series, series_mul, series_reciprocal
@@ -38,7 +39,9 @@ class BernoulliTable:
     def __post_init__(self):
         if not self.values:
             raise ValueError("a Bernoulli table needs at least B_0")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        values = self.values
+        if type(values) is not tuple or not all(type(v) is Fraction for v in values):
+            object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
         if self.values[0] != 1:
             raise ValueError(f"B_0 must be 1, got {self.values[0]}")
         if len(self.values) > 1 and self.values[1] != Fraction(-1, 2):
@@ -53,6 +56,13 @@ class BernoulliTable:
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
+
+    @cached_property
+    def _over_common_denominator(self) -> tuple[int, tuple[int, ...]]:
+        """(D, (B_0 D, ..., B_max_index D)) for D the lcm of this table's own
+        denominators, so sums over the table can run in integers."""
+        d = lcm(*(v.denominator for v in self.values))
+        return d, tuple(v.numerator * (d // v.denominator) for v in self.values)
 
 
 def _tangent_bernoulli(max_index: int) -> list[Fraction]:
@@ -135,7 +145,9 @@ def gen_genocchi_egf(n: int, a: int) -> int:
 def gen_genocchi_bernoulli(n: int, a: int, table: BernoulliTable) -> Fraction:
     """G_{n,a} by the Bernoulli-sum route: sum_{k<n} C(n,k) B_k a^k for
     n >= 1. The result is a Fraction on purpose; its integrality is part of
-    what gets verified against the generating-function route."""
+    what gets verified against the generating-function route. The sum runs
+    over the integers B_k D, D the common denominator of the table, and is
+    divided by D once at the end."""
     if n < 1:
         raise ValueError(f"the Bernoulli-sum route needs n >= 1, got {n}")
     if a < 2:
@@ -144,12 +156,14 @@ def gen_genocchi_bernoulli(n: int, a: int, table: BernoulliTable) -> Fraction:
         raise ValueError(
             f"Bernoulli table covers indices up to {table.max_index}, need {n - 1}"
         )
-    acc = Fraction(0)
+    d, scaled = table._over_common_denominator
+    acc = 0
     power = 1
     for k in range(n):
-        acc += comb(n, k) * table.values[k] * power
+        if scaled[k]:
+            acc += comb(n, k) * scaled[k] * power
         power *= a
-    return acc
+    return Fraction(acc, d)
 
 
 def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:

@@ -285,16 +285,21 @@ STATEMENTS: dict[TheoremId, Statement] = {
 }
 
 
-def _evaluate_column(task) -> tuple[int, list[GridFailure]]:
+def _evaluate_column(task) -> tuple[int, list[GridFailure], list[int] | None]:
     """Check every n of one column. Shaped as a single-argument callable so
     it can run under a process pool; the task names its statement by
-    TheoremId because the functions in a record do not pickle."""
-    theorem, a, n_lo, n_hi, order, mutate, bern = task
+    TheoremId because the functions in a record do not pickle. The task
+    carries the column when one was built before, or None; the column built
+    here comes back with the result, unmutated, so the caller can keep it."""
+    theorem, a, n_lo, n_hi, order, mutate, bern, column = task
     statement = STATEMENTS[theorem]
-    values = None
+    values = built = None
     if statement.table:
-        values = _column(a, n_hi, order)
+        values = column
+        if values is None:
+            values = built = _column(a, n_hi, order)
         if mutate is not None and (a is None or mutate[1] == a):
+            values = list(values)
             values[mutate[0]] += 1
     n_values = statement.n_values(a, n_lo, n_hi)
     failures = [
@@ -304,7 +309,7 @@ def _evaluate_column(task) -> tuple[int, list[GridFailure]]:
             n, a, None if values is None else values[n], bern, order
         )
     ]
-    return len(n_values), failures
+    return len(n_values), failures, built
 
 
 def run_grid(
@@ -316,6 +321,7 @@ def run_grid(
     jobs: int = 1,
     mutate: tuple[int, int] | None = None,
     bernoulli: BernoulliTable | None = None,
+    columns: dict[tuple[int | None, int, int | None], list[int]] | None = None,
 ) -> VerificationReport:
     """Check one statement over an inclusive (n, a) grid.
 
@@ -327,6 +333,11 @@ def run_grid(
     columns run on at most `jobs` worker processes, and never on more
     than one per column or per CPU. Failures come back sorted by (n, a);
     two identical runs produce equal reports apart from elapsed_s.
+
+    `columns` memoises columns by (a, n_max, order), a being None for the
+    classical column: a column found there is not built again, and each
+    column built is stored there, never in its mutated form. Runs that share
+    one dict (the statements of one command) build each column once.
     """
     start = perf_counter()
     statement = STATEMENTS[theorem]
@@ -390,20 +401,28 @@ def run_grid(
     if theorem is TheoremId.PROP1_IDC and order is not None and order < 1:
         raise ValueError(f"order {order} is below 1 for {theorem.value}")
 
-    tasks = [(theorem, a, n_lo, n_hi, order, mutate, bern) for a in bases]
+    if columns is None:
+        columns = {}
+    tasks = [
+        (theorem, a, n_lo, n_hi, order, mutate, bern, columns.get((a, n_hi, order)))
+        for a in bases
+    ]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_column, tasks))
     else:
         results = [_evaluate_column(t) for t in tasks]
-    failures = [f for _, col_failures in results for f in col_failures]
+    for a, (_, _, built) in zip(bases, results):
+        if built is not None:
+            columns[(a, n_hi, order)] = built
+    failures = [f for _, col_failures, _ in results for f in col_failures]
     failures.sort(key=lambda fl: (fl.n, fl.a if fl.a is not None else 0))
     return VerificationReport(
         theorem=theorem,
         n_range=(n_lo, n_hi),
         a_range=(a_lo, a_hi) if statement.over_a else None,
-        checked=sum(col_checked for col_checked, _ in results),
+        checked=sum(col_checked for col_checked, _, _ in results),
         failures=tuple(failures),
         notes=tuple(notes),
         elapsed_s=perf_counter() - start,

@@ -17,10 +17,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` with ``src`` first on ``PYTHONPATH``; output captured as text."""
+def run_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` with ``src`` first on ``PYTHONPATH``; output captured as
+    text. ``env`` adds variables to the inherited environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env
     )

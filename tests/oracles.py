@@ -73,6 +73,18 @@ def gen_genocchi_by_ordinary(a: int, n_max: int) -> list[Fraction]:
     return diffs_from_ordinary(ordinary_mul(numer, ordinary_reciprocal(denom)))
 
 
+def scale_arg(c: list[Fraction], s) -> list[Fraction]:
+    """Coefficients of t -> f(s*t): coefficient n picks up a factor s^n, in
+    either basis."""
+    s = Fraction(s)
+    return [s**n * Fraction(cn) for n, cn in enumerate(c)]
+
+
+def bernoulli_sum(n: int, a: int, b: list[Fraction]) -> Fraction:
+    """sum_{k<n} C(n,k) b_k a^k in plain Fractions, for any values b_k."""
+    return sum((comb(n, k) * b[k] * a**k for k in range(n)), Fraction(0))
+
+
 def trial_factor(n: int) -> list[tuple[int, int]]:
     """Naive factorization by trial division over all integers."""
     out = []

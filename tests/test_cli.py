@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 from genocchi.cache import save_bernoulli_cache
 from genocchi.cli import (
@@ -11,9 +12,11 @@ from genocchi.cli import (
     render_reports_json,
 )
 from genocchi.exact import ConsistencyError
-from genocchi.special import bernoulli_table, genocchi_table
+from genocchi import verify
+from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
+from oracles import bernoulli_recurrence
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +249,21 @@ class TestVerifyCommand:
         assert [r["theorem"] for r in reports] == [t.value for t in TheoremId]
         assert all(r["failure_count"] == 0 for r in reports)
 
+    def test_all_builds_each_column_once_per_command(self, capsys, tmp_path, monkeypatch):
+        built = []
+
+        def counting(a, n_max, order=None):
+            built.append((a, n_max, order))
+            return gen_genocchi_table(a, n_max, order)
+
+        monkeypatch.setattr(verify, "gen_genocchi_table", counting)
+        argv = ["verify", "all", "--n-max", "12", "--a-max", "4",
+                "--cache-path", str(tmp_path / "b.json")]
+        for _ in range(2):  # no column outlives its command
+            built.clear()
+            assert run_cli(capsys, *argv)[0] == 0
+            assert sorted(built) == [(a, 12, None) for a in (2, 3, 4)]
+
     def test_jobs_flag_changes_nothing_but_elapsed(self, capsys, tmp_path):
         argv = ["verify", "theorem1", "--n-max", "15", "--a-max", "4", "--format", "json"]
         code1, out1, _ = run_cli(capsys, *argv)
@@ -279,6 +297,37 @@ class TestVerifyCommand:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+class TestValuesPastTheDigitLimit:
+    """Python caps int <-> str conversion (4300 digits by default); exact
+    output must not stop there. The child runs with the lowest cap, 640
+    digits, which B_500 (743 digits) and G_{400,20} (1069 digits) pass."""
+
+    LIMIT = {"PYTHONINTMAXSTRDIGITS": "640"}
+
+    def test_bernoulli_table_and_its_cache(self, tmp_path):
+        cache = tmp_path / "b.json"
+        argv = ["-m", "genocchi", "bernoulli", "--cache-path", str(cache)]
+        cold = run_python(*argv, "--n-max", "500", env=self.LIMIT)
+        assert cold.returncode == 0, cold.stderr
+        expected = bernoulli_recurrence(500)
+        rows = parse_csv(cold.stdout)[1:]
+        assert [Fraction(int(num), int(den)) for _, num, den in rows] == expected
+        assert max(len(num) for _, num, _ in rows) > 640
+        # a smaller warm request is served from the 500-entry cache, unchanged
+        written = cache.read_bytes()
+        warm = run_python(*argv, "--n-max", "480", env=self.LIMIT)
+        assert warm.returncode == 0, warm.stderr
+        assert warm.stdout == "\n".join(cold.stdout.split("\n")[:482]) + "\n"
+        assert cache.read_bytes() == written
+
+    def test_genocchi_column(self):
+        done = run_python("-m", "genocchi", "genocchi", "--n-max", "400", "--a", "20",
+                          "--format", "json", env=self.LIMIT)
+        assert done.returncode == 0, done.stderr
+        values = json.loads(done.stdout)["values"]
+        assert [int(v) for v in values] == gen_genocchi_table(20, 400)
 
 
 class TestRoundTrips:

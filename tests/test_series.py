@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from genocchi import series
 from genocchi.exact import ConsistencyError
 from genocchi.series import (
     EgfSeries,
@@ -15,7 +16,6 @@ from genocchi.series import (
     is_idc,
     series_mul,
     series_reciprocal,
-    series_scale_arg,
 )
 from oracles import (
     GENOCCHI_FROZEN,
@@ -26,6 +26,7 @@ from oracles import (
     ordinary_from_diffs,
     ordinary_mul,
     ordinary_reciprocal,
+    scale_arg,
 )
 
 
@@ -170,25 +171,26 @@ class TestReciprocal:
 
 
 class TestScaleArg:
+    """The oracle scaling t -> c*t, the reference for idc_reciprocal_scaled."""
+
     def test_powers_of_scale(self):
-        f = EgfSeries((5, 1, 1, 1))
-        assert series_scale_arg(f, 3) == EgfSeries((5, 3, 9, 27))
+        assert scale_arg([5, 1, 1, 1], 3) == [5, 3, 9, 27]
 
     def test_scale_by_one_and_zero(self):
-        f = EgfSeries((2, -7, 4))
-        assert series_scale_arg(f, 1) == f
-        assert series_scale_arg(f, 0) == EgfSeries((2, 0, 0))
+        c = [2, -7, 4]
+        assert scale_arg(c, 1) == c
+        assert scale_arg(c, 0) == [2, 0, 0]
 
     def test_rational_scale_roundtrip(self):
         rng = random.Random(17)
         for _ in range(50):
-            f = random_idc(rng, 10)
+            f = list(random_idc(rng, 10).coeffs)
             c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            assert series_scale_arg(series_scale_arg(f, c), 1 / c) == f
+            assert scale_arg(scale_arg(f, c), 1 / c) == f
 
     def test_composes_multiplicatively(self):
-        f = EgfSeries((1, 2, 3, 4))
-        assert series_scale_arg(series_scale_arg(f, 2), 3) == series_scale_arg(f, 6)
+        c = [1, 2, 3, 4]
+        assert scale_arg(scale_arg(c, 2), 3) == scale_arg(c, 6)
 
 
 class TestExpSum:
@@ -251,13 +253,33 @@ class TestIdcReciprocalScaled:
         assert not is_idc(series_reciprocal(f))
 
     def test_non_idc_input_passes_through(self):
-        f = EgfSeries((Fraction(1, 2), 1, 1))
-        result = idc_reciprocal_scaled(f)
-        expected = EgfSeries(
-            tuple(Fraction(1, 2) * c
-                  for c in series_reciprocal(series_scale_arg(f, Fraction(1, 2))).coeffs)
-        )
-        assert result == expected
+        inputs = [
+            EgfSeries((Fraction(1, 2), 1, 1)),
+            EgfSeries((2, Fraction(1, 2), 0, Fraction(-1, 3))),  # a_0 integral
+            EgfSeries((Fraction(-3, 4), 5, Fraction(1, 6), 2, Fraction(7, 2))),
+        ]
+        for f in inputs:
+            a0 = f.coeffs[0]
+            result = idc_reciprocal_scaled(f)
+            expected = EgfSeries(
+                tuple(a0 * c
+                      for c in series_reciprocal(EgfSeries(tuple(scale_arg(f.coeffs, a0)))).coeffs)
+            )
+            assert result == expected
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # the closure is checked, not assumed: a back-substitution that leaves
+        # the integers must stop an IDC input
+        back_substitute = series._back_substitute
+
+        def off_by_one(a, s0):
+            s = back_substitute(a, s0)
+            s[5] += 1
+            return s
+
+        monkeypatch.setattr(series, "_back_substitute", off_by_one)
+        with pytest.raises(ConsistencyError, match="index 5"):
+            idc_reciprocal_scaled(exp_sum_series(2, 8))
 
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError, match="constant"):

@@ -23,6 +23,7 @@ from oracles import (
     GEN_GENOCCHI_FROZEN,
     GENOCCHI_FROZEN,
     bernoulli_recurrence,
+    bernoulli_sum,
     gen_genocchi_by_ordinary,
     genocchi_by_ordinary,
 )
@@ -88,6 +89,10 @@ class TestBernoulliTable:
             BernoulliTable((1, Fraction(-1, 2), Fraction(1, 6), Fraction(1, 30)))
         with pytest.raises(ValueError, match="B_0"):
             BernoulliTable(())
+        coerced = BernoulliTable([1, "-1/2", "1/6"])
+        assert coerced.values == (1, Fraction(-1, 2), Fraction(1, 6))
+        assert type(coerced.values) is tuple
+        assert all(type(v) is Fraction for v in coerced.values)
 
 
 class TestGenocchi:
@@ -181,6 +186,17 @@ class TestBernoulliSumRoute:
                 by_sum = gen_genocchi_bernoulli(n, a, bern64)
                 assert by_sum.denominator == 1
                 assert by_sum == column[n]
+
+    def test_integer_route_is_exact_for_any_table(self, bern64):
+        # one even entry altered, anchors intact, and a new prime in the
+        # denominators: the route must still equal the plain Fraction sum
+        values = list(bern64.values)
+        values[10] += Fraction(1, 101)
+        doctored = BernoulliTable(tuple(values))
+        for a in (2, 3, 10):
+            for n in range(1, 65):
+                assert gen_genocchi_bernoulli(n, a, doctored) == bernoulli_sum(n, a, values)
+        assert gen_genocchi_bernoulli(11, 3, doctored).denominator == 101
 
     def test_rejects_bad_arguments(self, bern64):
         with pytest.raises(ValueError):

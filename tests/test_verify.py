@@ -6,7 +6,7 @@ import os
 import pytest
 
 from genocchi.exact import coprime_part
-from genocchi.special import bernoulli_table, gen_genocchi_egf
+from genocchi.special import bernoulli_table, gen_genocchi_egf, gen_genocchi_table
 from genocchi.verify import (
     STATEMENTS,
     GridFailure,
@@ -163,6 +163,12 @@ class TestDeterminism:
         r1 = run_grid(TheoremId.THEOREM1, (1, 30), (2, 6), jobs=1)
         r2 = run_grid(TheoremId.THEOREM1, (1, 30), (2, 6), jobs=2)
         assert r1 == r2
+        # workers hand back the columns they build; later tasks carry them
+        columns = {}
+        for theorem in (TheoremId.THEOREM1, TheoremId.THEOREM2):
+            serial = run_grid(theorem, (1, 30), (2, 6), jobs=1)
+            assert run_grid(theorem, (1, 30), (2, 6), jobs=2, columns=columns) == serial
+        assert columns == {(a, 30, None): gen_genocchi_table(a, 30) for a in range(2, 7)}
 
     def test_worker_count_is_clamped(self, monkeypatch):
         started = []
@@ -216,6 +222,14 @@ class TestMutation:
     def test_prop2_mutation_detected(self):
         r = run_grid(TheoremId.PROP2_EQUIV, (1, 10), (2, 4), mutate=(6, 3))
         assert [(f.n, f.a) for f in r.failures] == [(6, 3)]
+
+    def test_mutation_never_reaches_shared_columns(self):
+        columns = {}
+        mutated = run_grid(TheoremId.THEOREM2, (2, 10), (2, 4), mutate=(5, 4), columns=columns)
+        assert [(f.n, f.a) for f in mutated.failures] == [(5, 4)]
+        assert columns[(4, 10, None)] == gen_genocchi_table(4, 10)
+        fresh = run_grid(TheoremId.THEOREM1, (1, 10), (2, 4))
+        assert run_grid(TheoremId.THEOREM1, (1, 10), (2, 4), columns=columns) == fresh
 
     def test_gcd_mutation_detected(self):
         # G_{5,4} = -25; the bump makes it even, so gcd with 4 jumps past 2
