@@ -144,7 +144,7 @@ def cmd_genocchi(args) -> int:
         raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
     if args.a < 2:
         raise ValueError(f"--a must be at least 2, got {args.a}")
-    values = gen_genocchi_table(args.a, args.n_max, args.order)
+    values = gen_genocchi_table(args.a, args.n_max)
     if args.format == "csv":
         sys.stdout.write(render_genocchi_csv(args.a, values))
     else:
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("genocchi", help="emit G_{n,a} for n = 0..n-max")
     p_gen.add_argument("--n-max", type=int, required=True, help="largest index to emit")
     p_gen.add_argument("--a", type=int, default=2, help="base (default 2, the classical numbers)")
-    p_gen.add_argument("--order", type=int, default=None, help="series truncation override")
     p_gen.add_argument("--format", choices=("csv", "json"), default="csv")
     p_gen.set_defaults(func=cmd_genocchi)
 
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--n-max", type=int, default=200, help="grid runs n = 1..n-max")
     p_ver.add_argument("--a-max", type=int, default=20, help="grid runs a = 2..a-max")
-    p_ver.add_argument("--order", type=int, default=None, help="series truncation override")
+    p_ver.add_argument("--order", type=int, default=None, help="prop1_idc trial order (default 30)")
     p_ver.add_argument("--jobs", type=int, default=1, help="worker processes for a-columns")
     p_ver.add_argument(
         "--mutate",

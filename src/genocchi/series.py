@@ -124,11 +124,6 @@ def exp_sum_series(a: int, order: int) -> EgfSeries:
     return EgfSeries(tuple(coeffs))
 
 
-def is_idc(f: EgfSeries) -> bool:
-    """Whether every differential coefficient is an integer."""
-    return all(c.denominator == 1 for c in f.coeffs)
-
-
 def idc_reciprocal_scaled(f: EgfSeries) -> EgfSeries:
     """The series of a_0 / f(a_0 t) where a_0 = f(0) != 0. When f is IDC the
     result is IDC as well; that closure is checked on every call."""

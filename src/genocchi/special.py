@@ -112,23 +112,20 @@ def genocchi(n: int) -> int:
     return genocchi_table(n)[n]
 
 
-def gen_genocchi_table(a: int, n_max: int, order: int | None = None) -> list[int]:
+def gen_genocchi_table(a: int, n_max: int) -> list[int]:
     """G_{0,a}..G_{n_max,a} from a*t / (1 + e^t + ... + e^{(a-1)t}), truncated
-    at `order` (default n_max). Non-integral output aborts: integrality is a
-    structural fact here, not an input condition."""
+    at order n_max, since coefficient n depends only on the first n + 1 terms.
+    Non-integral output aborts: integrality is a structural fact here, not an
+    input condition."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    if order is None:
-        order = n_max
-    if order < n_max:
-        raise ValueError(f"order {order} is below n_max {n_max}")
-    denom = exp_sum_series(a, order)
-    numer = [Fraction(0)] * (order + 1)
-    if order >= 1:
+    denom = exp_sum_series(a, n_max)
+    numer = [Fraction(0)] * (n_max + 1)
+    if n_max >= 1:
         numer[1] = Fraction(a)
     prod = series_mul(EgfSeries(tuple(numer)), series_reciprocal(denom))
     values = []
-    for n, c in enumerate(prod.coeffs[: n_max + 1]):
+    for n, c in enumerate(prod.coeffs):
         if c.denominator != 1:
             raise ConsistencyError(
                 f"generalized Genocchi (a={a}) came out non-integral at index {n}: {c}"

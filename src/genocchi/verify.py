@@ -27,9 +27,7 @@ from .special import (
     bernoulli_table,
     check_valuation_bound,
     gen_genocchi_bernoulli,
-    gen_genocchi_egf,
     gen_genocchi_table,
-    genocchi,
     genocchi_table,
     von_staudt_clausen_sum,
 )
@@ -84,73 +82,51 @@ class VerificationReport:
 
 def check_lemma_n_divides(n: int, a: int, g: int | None = None) -> bool:
     """n divides a^(n-1) * G_{n,a}."""
-    _require_point(n, a, min_n=1)
-    if g is None:
-        g = gen_genocchi_egf(n, a)
-    return (pow(a, n - 1, n) * g) % n == 0
+    return _holds(TheoremId.LEMMA_N_DIV, n, a, g)
 
 
 def check_theorem1(n: int, a: int, g: int | None = None) -> bool:
     """The greatest divisor of n coprime with a divides G_{n,a}."""
-    _require_point(n, a, min_n=1)
-    if g is None:
-        g = gen_genocchi_egf(n, a)
-    return g % coprime_part(n, a) == 0
+    return _holds(TheoremId.THEOREM1, n, a, g)
 
 
 def check_theorem2(n: int, a: int, g: int | None = None):
     """G_{n,a} = 1 - (n/2)*a (mod a), as a congruence over Q. Returns the
     full CongruenceJudgment rather than a bare bool."""
-    _require_point(n, a, min_n=2)
-    if g is None:
-        g = gen_genocchi_egf(n, a)
-    return congruent_mod(Fraction(g), 1 - Fraction(n, 2) * a, a)
-
-
-def _corollary2_target(n: int, a: int) -> int:
-    # odd a: G = 1 (mod a) for all n; even a: 1 for even n, 1 + a/2 for odd n
-    if a % 2 == 1 or n % 2 == 0:
-        return 1
-    return 1 + a // 2
+    return _theorem2_judgment(n, a, _point_value(TheoremId.THEOREM2, n, a, g))[1]
 
 
 def check_corollary2(n: int, a: int, g: int | None = None) -> bool:
     """The residue of G_{n,a} mod a, split by the parities of a and n."""
-    if a < 2:
-        raise ValueError(f"base must satisfy a >= 2, got {a}")
-    min_n = 1 if a % 2 == 1 else 2
-    if n < min_n:
-        raise ValueError(f"needs n >= {min_n} for a = {a}, got n = {n}")
-    if g is None:
-        g = gen_genocchi_egf(n, a)
-    return (g - _corollary2_target(n, a)) % a == 0
+    return _holds(TheoremId.COROLLARY2, n, a, g)
 
 
 def check_gcd_corollary(n: int, a: int, g: int | None = None) -> bool:
     """gcd(G_{n,a}, a) is 1 or 2, and is 2 exactly when a = 2 (mod 4) and
     n is odd."""
-    _require_point(n, a, min_n=2)
-    if g is None:
-        g = gen_genocchi_egf(n, a)
-    d = gcd(g, a)
-    should_be_two = a % 4 == 2 and n % 2 == 1
-    return d in (1, 2) and (d == 2) == should_be_two
+    return _holds(TheoremId.GCD_COROLLARY, n, a, g)
 
 
 def check_even_genocchi_odd(n: int, g: int | None = None) -> bool:
     """G_n is an odd integer for even n >= 2."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"needs even n >= 2, got {n}")
-    if g is None:
-        g = genocchi(n)
-    return g % 2 == 1
+    return _holds(TheoremId.ODD_GENOCCHI, n, None, g)
 
 
-def _require_point(n: int, a: int, min_n: int) -> None:
-    if n < min_n:
-        raise ValueError(f"needs n >= {min_n}, got {n}")
-    if a < 2:
+def _point_value(theorem: TheoremId, n: int, a: int | None, g: int | None) -> int:
+    """g, or G at (n, a) by the series route when g is None. A point that
+    the statement's record does not check raises ValueError."""
+    statement = STATEMENTS[theorem]
+    if a is not None and a < 2:
         raise ValueError(f"base must satisfy a >= 2, got {a}")
+    if n not in statement.n_values(a, statement.min_n, n):
+        where = f"n = {n}" if a is None else f"n = {n}, a = {a}"
+        raise ValueError(f"{theorem.value} is not stated at {where}")
+    return _column(a, n)[n] if g is None else g
+
+
+def _holds(theorem: TheoremId, n: int, a: int | None, g: int | None) -> bool:
+    g = _point_value(theorem, n, a, g)
+    return not any(STATEMENTS[theorem].describe(n, a, g, None, None))
 
 
 def _prop1_trial_series(trial: int, order: int) -> EgfSeries:
@@ -167,42 +143,52 @@ def _prop1_trial_series(trial: int, order: int) -> EgfSeries:
 # attribute (as a tracer does) takes effect here too.
 
 
-def _column(a: int | None, n_hi: int, order: int | None) -> list[int]:
+def _column(a: int | None, n_hi: int) -> list[int]:
     """The base-a column, or the classical column for a statement without bases."""
-    return genocchi_table(n_hi) if a is None else gen_genocchi_table(a, n_hi, order)
+    return genocchi_table(n_hi) if a is None else gen_genocchi_table(a, n_hi)
 
 
 def _lemma_n_div_failures(n, a, g, bern, order):
-    if not check_lemma_n_divides(n, a, g):
-        r = (pow(a, n - 1, n) * g) % n
+    r = pow(a, n - 1, n) * g % n
+    if r:
         yield f"a^(n-1)*G = {r} (mod {n}) with G = {g}", f"0 (mod {n})"
 
 
 def _theorem1_failures(n, a, g, bern, order):
-    if not check_theorem1(n, a, g):
-        pi = coprime_part(n, a)
-        yield f"G = {g} = {g % pi} (mod {pi})", f"0 (mod {pi})"
+    pi = coprime_part(n, a)
+    r = g % pi
+    if r:
+        yield f"G = {g} = {r} (mod {pi})", f"0 (mod {pi})"
+
+
+def _theorem2_judgment(n, a, g):
+    """G - (1 - n*a/2), and whether a divides its numerator."""
+    diff = Fraction(g) - (1 - Fraction(n, 2) * a)
+    return diff, congruent_mod(diff, 0, a)
 
 
 def _theorem2_failures(n, a, g, bern, order):
-    if not check_theorem2(n, a, g).holds:
-        diff = Fraction(g) - (1 - Fraction(n, 2) * a)
+    diff, judgment = _theorem2_judgment(n, a, g)
+    if not judgment.holds:
         yield f"num(G - (1 - n*a/2)) = {num(diff)}", f"0 (mod {a})"
 
 
 def _corollary2_failures(n, a, g, bern, order):
-    if not check_corollary2(n, a, g):
-        yield f"G = {g % a} (mod {a})", f"{_corollary2_target(n, a) % a} (mod {a})"
+    # odd a: G = 1 (mod a) for all n; even a: 1 for even n, 1 + a/2 for odd n
+    target = (1 + a // 2 if a % 2 == 0 and n % 2 == 1 else 1) % a
+    r = g % a
+    if r != target:
+        yield f"G = {r} (mod {a})", f"{target} (mod {a})"
 
 
 def _gcd_corollary_failures(n, a, g, bern, order):
-    if not check_gcd_corollary(n, a, g):
-        expected = "1, or 2 exactly when a = 2 (mod 4) and n is odd"
-        yield f"gcd(G, a) = {gcd(g, a)} with G = {g}", expected
+    d = gcd(g, a)
+    if d not in (1, 2) or (d == 2) != (a % 4 == 2 and n % 2 == 1):
+        yield f"gcd(G, a) = {d} with G = {g}", "1, or 2 exactly when a = 2 (mod 4) and n is odd"
 
 
 def _odd_genocchi_failures(n, a, g, bern, order):
-    if not check_even_genocchi_odd(n, g):
+    if g % 2 != 1:
         yield f"G_{n} = {g}", "an odd integer"
 
 
@@ -287,17 +273,15 @@ STATEMENTS: dict[TheoremId, Statement] = {
 
 def _evaluate_column(task) -> tuple[int, list[GridFailure], list[int] | None]:
     """Check every n of one column. Shaped as a single-argument callable so
-    it can run under a process pool; the task names its statement by
-    TheoremId because the functions in a record do not pickle. The task
-    carries the column when one was built before, or None; the column built
-    here comes back with the result, unmutated, so the caller can keep it."""
-    theorem, a, n_lo, n_hi, order, mutate, bern, column = task
-    statement = STATEMENTS[theorem]
+    it can run under a process pool. The task carries the column when one
+    was built before, or None; the column built here comes back with the
+    result, unmutated, so the caller can keep it."""
+    statement, a, n_lo, n_hi, order, mutate, bern, column = task
     values = built = None
     if statement.table:
         values = column
         if values is None:
-            values = built = _column(a, n_hi, order)
+            values = built = _column(a, n_hi)
         if mutate is not None and (a is None or mutate[1] == a):
             values = list(values)
             values[mutate[0]] += 1
@@ -321,20 +305,20 @@ def run_grid(
     jobs: int = 1,
     mutate: tuple[int, int] | None = None,
     bernoulli: BernoulliTable | None = None,
-    columns: dict[tuple[int | None, int, int | None], list[int]] | None = None,
+    columns: dict[tuple[int | None, int], list[int]] | None = None,
 ) -> VerificationReport:
     """Check one statement over an inclusive (n, a) grid.
 
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
     one table value by 1 before checking, to prove the harness can fail.
-    `order` below n_max is an error for every statement with a table, and
-    `order` below 1 for prop1_idc, whose trials it sizes. The
-    columns run on at most `jobs` worker processes, and never on more
-    than one per column or per CPU. Failures come back sorted by (n, a);
-    two identical runs produce equal reports apart from elapsed_s.
+    `order` sizes prop1_idc's trial series (default 30, below 1 an error);
+    other statements have none and note that they ignore it. The columns
+    run on at most `jobs` worker processes, and never on more than one per
+    column or per CPU. Failures come back sorted by (n, a); two identical
+    runs produce equal reports apart from elapsed_s.
 
-    `columns` memoises columns by (a, n_max, order), a being None for the
+    `columns` memoises columns by (a, n_max), a being None for the
     classical column: a column found there is not built again, and each
     column built is stored there, never in its mutated form. Runs that share
     one dict (the statements of one command) build each column once.
@@ -395,18 +379,15 @@ def run_grid(
                 f"Bernoulli table covers indices up to {bern.max_index}, grid needs {needed}"
             )
 
-    if statement.table and order is not None and order < n_hi:
-        raise ValueError(f"order {order} is below n_max {n_hi}")
-    # a prop1 trial of order 0 is a constant, whose reciprocal is trivially IDC
-    if theorem is TheoremId.PROP1_IDC and order is not None and order < 1:
-        raise ValueError(f"order {order} is below 1 for {theorem.value}")
+    if order is not None:
+        if theorem is not TheoremId.PROP1_IDC:
+            notes.append(f"{theorem.value} has no trial series; order ignored")
+        elif order < 1:  # a trial of order 0 is a constant, trivially IDC
+            raise ValueError(f"order {order} is below 1 for {theorem.value}")
 
     if columns is None:
         columns = {}
-    tasks = [
-        (theorem, a, n_lo, n_hi, order, mutate, bern, columns.get((a, n_hi, order)))
-        for a in bases
-    ]
+    tasks = [(statement, a, n_lo, n_hi, order, mutate, bern, columns.get((a, n_hi))) for a in bases]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -415,7 +396,7 @@ def run_grid(
         results = [_evaluate_column(t) for t in tasks]
     for a, (_, _, built) in zip(bases, results):
         if built is not None:
-            columns[(a, n_hi, order)] = built
+            columns[(a, n_hi)] = built
     failures = [f for _, col_failures, _ in results for f in col_failures]
     failures.sort(key=lambda fl: (fl.n, fl.a if fl.a is not None else 0))
     return VerificationReport(

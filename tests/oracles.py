@@ -112,6 +112,11 @@ def coeffwise_add(c: list[Fraction], d: list[Fraction]) -> list[Fraction]:
     return [x + y for x, y in zip(c, d, strict=True)]
 
 
+def is_idc(f) -> bool:
+    """Whether every differential coefficient of the series f is an integer."""
+    return all(c.denominator == 1 for c in f.coeffs)
+
+
 # Frozen values. Bernoulli and classical Genocchi entries agree with the
 # well-known tables (for instance B_12 = -691/2730); the generalized columns
 # were computed by gen_genocchi_by_ordinary and independently reproduced by

@@ -162,24 +162,32 @@ class TestGenocchiCommand:
             "values": ["0", "1", "-4", "6", "16", "-74", "-264", "1946", "9056"],
         }
 
-    def test_order_override(self, capsys):
-        code, out, _ = run_cli(capsys, "genocchi", "--n-max", "4", "--a", "3", "--order", "12")
-        assert code == 0
-        assert [row[1] for row in parse_csv(out)[1:]] == ["0", "1", "-2", "1", "4"]
-
     def test_bad_base_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "genocchi", "--n-max", "4", "--a", "1")
         assert code == 2 and "--a" in err
 
-    def test_order_below_n_max_exits_two(self, capsys):
+    def test_order_below_n_max_exits_two(self, capsys, tmp_path):
+        # a column's truncation is its n_max; genocchi takes no --order
+        code, _, err = run_cli(capsys, "genocchi", "--n-max", "10", "--a", "3", "--order", "4")
+        assert code == 2 and "--order" in err
+        # only prop1_idc has a trial series; the others note that they ignore it
         for argv in (
-            ["genocchi", "--n-max", "10", "--a", "3", "--order", "4"],
             ["verify", "theorem1", "--n-max", "10", "--a-max", "3", "--order", "4"],
             ["verify", "odd_genocchi", "--n-max", "10", "--order", "4"],
         ):
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 2, argv
-            assert "order 4 is below n_max 10" in err, argv
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            notes = canonical_reports_from_csv(out)[0]["notes"]
+            assert f"{argv[1]} has no trial series; order ignored" in notes, argv
+        # under all, --order still sizes prop1's trials
+        code, out, _ = run_cli(capsys, "verify", "all", "--n-max", "20", "--a-max", "3",
+                               "--order", "5", "--cache-path", str(tmp_path / "b.json"))
+        assert code == 0
+        for r in canonical_reports_from_csv(out):
+            ignored = f"{r['theorem']} has no trial series; order ignored" in r["notes"]
+            assert ignored == (r["theorem"] != "prop1_idc"), r["theorem"]
+            if r["theorem"] == "prop1_idc":
+                assert r["checked"] == 20
         # prop1's order sizes its trial series; below 1 every trial is a constant
         for order in ("0", "-2"):
             code, _, err = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3", "--order", order)
@@ -252,9 +260,9 @@ class TestVerifyCommand:
     def test_all_builds_each_column_once_per_command(self, capsys, tmp_path, monkeypatch):
         built = []
 
-        def counting(a, n_max, order=None):
-            built.append((a, n_max, order))
-            return gen_genocchi_table(a, n_max, order)
+        def counting(a, n_max):
+            built.append((a, n_max))
+            return gen_genocchi_table(a, n_max)
 
         monkeypatch.setattr(verify, "gen_genocchi_table", counting)
         argv = ["verify", "all", "--n-max", "12", "--a-max", "4",
@@ -262,7 +270,7 @@ class TestVerifyCommand:
         for _ in range(2):  # no column outlives its command
             built.clear()
             assert run_cli(capsys, *argv)[0] == 0
-            assert sorted(built) == [(a, 12, None) for a in (2, 3, 4)]
+            assert sorted(built) == [(a, 12) for a in (2, 3, 4)]
 
     def test_jobs_flag_changes_nothing_but_elapsed(self, capsys, tmp_path):
         argv = ["verify", "theorem1", "--n-max", "15", "--a-max", "4", "--format", "json"]

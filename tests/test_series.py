@@ -13,7 +13,6 @@ from genocchi.series import (
     EgfSeries,
     exp_sum_series,
     idc_reciprocal_scaled,
-    is_idc,
     series_mul,
     series_reciprocal,
 )
@@ -23,6 +22,7 @@ from oracles import (
     SCALED_RECIPROCAL_FROZEN,
     coeffwise_add,
     diffs_from_ordinary,
+    is_idc,
     ordinary_from_diffs,
     ordinary_mul,
     ordinary_reciprocal,

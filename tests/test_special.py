@@ -161,16 +161,11 @@ class TestGenGenocchi:
         assert gen_genocchi_egf(6, 3) == -26
         assert gen_genocchi_egf(3, 6) == 10
 
-    def test_higher_truncation_order_changes_nothing(self):
-        assert gen_genocchi_table(5, 8, order=20) == gen_genocchi_table(5, 8)
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             gen_genocchi_table(1, 5)
         with pytest.raises(ValueError):
             gen_genocchi_table(3, -1)
-        with pytest.raises(ValueError, match="order"):
-            gen_genocchi_table(3, 10, order=5)
 
 
 class TestBernoulliSumRoute:

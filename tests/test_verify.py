@@ -6,7 +6,12 @@ import os
 import pytest
 
 from genocchi.exact import coprime_part
-from genocchi.special import bernoulli_table, gen_genocchi_egf, gen_genocchi_table
+from genocchi.special import (
+    bernoulli_table,
+    gen_genocchi_egf,
+    gen_genocchi_table,
+    genocchi_table,
+)
 from genocchi.verify import (
     STATEMENTS,
     GridFailure,
@@ -82,6 +87,42 @@ class TestPointChecks:
             check_gcd_corollary(1, 3)
         with pytest.raises(ValueError):
             check_even_genocchi_odd(7)
+        with pytest.raises(ValueError):
+            check_even_genocchi_odd(0)
+        with pytest.raises(ValueError):
+            check_corollary2(0, 7)  # odd a starts at n = 1
+
+
+POINT_CHECKS = {
+    TheoremId.LEMMA_N_DIV: check_lemma_n_divides,
+    TheoremId.THEOREM1: check_theorem1,
+    TheoremId.THEOREM2: lambda n, a, g: check_theorem2(n, a, g).holds,
+    TheoremId.COROLLARY2: check_corollary2,
+    TheoremId.GCD_COROLLARY: check_gcd_corollary,
+    TheoremId.ODD_GENOCCHI: lambda n, a, g: check_even_genocchi_odd(n, g),
+}
+
+
+class TestPointChecksAgreeWithGrid:
+    @pytest.mark.parametrize("theorem", list(POINT_CHECKS), ids=lambda t: t.value)
+    def test_check_fails_exactly_where_the_mutated_grid_fails(self, theorem):
+        check = POINT_CHECKS[theorem]
+        statement = STATEMENTS[theorem]
+        a_range = (2, 6) if statement.over_a else None
+        columns = {}
+        points = caught = 0
+        for a in range(2, 7) if statement.over_a else (None,):
+            column = genocchi_table(12) if a is None else gen_genocchi_table(a, 12)
+            for n in statement.n_values(a, statement.min_n, 12):
+                points += 1
+                assert check(n, a, column[n]), (n, a)
+                mutated = run_grid(theorem, (1, 12), a_range, mutate=(n, a or 2), columns=columns)
+                failed_at = [(f.n, f.a) for f in mutated.failures]
+                assert failed_at in ([], [(n, a)]), (n, a)
+                assert check(n, a, column[n] + 1) == (not failed_at), (n, a)
+                caught += bool(failed_at)
+        assert points == run_grid(theorem, (1, 12), a_range).checked
+        assert caught > 0
 
 
 class TestStatementRegistry:
@@ -168,7 +209,7 @@ class TestDeterminism:
         for theorem in (TheoremId.THEOREM1, TheoremId.THEOREM2):
             serial = run_grid(theorem, (1, 30), (2, 6), jobs=1)
             assert run_grid(theorem, (1, 30), (2, 6), jobs=2, columns=columns) == serial
-        assert columns == {(a, 30, None): gen_genocchi_table(a, 30) for a in range(2, 7)}
+        assert columns == {(a, 30): gen_genocchi_table(a, 30) for a in range(2, 7)}
 
     def test_worker_count_is_clamped(self, monkeypatch):
         started = []
@@ -227,7 +268,7 @@ class TestMutation:
         columns = {}
         mutated = run_grid(TheoremId.THEOREM2, (2, 10), (2, 4), mutate=(5, 4), columns=columns)
         assert [(f.n, f.a) for f in mutated.failures] == [(5, 4)]
-        assert columns[(4, 10, None)] == gen_genocchi_table(4, 10)
+        assert columns[(4, 10)] == gen_genocchi_table(4, 10)
         fresh = run_grid(TheoremId.THEOREM1, (1, 10), (2, 4))
         assert run_grid(TheoremId.THEOREM1, (1, 10), (2, 4), columns=columns) == fresh
 
