@@ -6,17 +6,20 @@ so den(x) is the smallest positive integer d with d*x an integer and
 num(x) = d*x carries the sign. On top of that convention the congruence
 x = y (mod m) extends from Z to Q: it holds iff m divides num(x - y),
 equivalently iff nu_p(x - y) >= nu_p(m) for every prime p dividing m.
+
+Factorization is trial division with nothing precomputed, and primality is
+read from it. A part left after trial division by every d with d*d <= it
+is certified prime. Trial division stops at TRIAL_DIVISION_BOUND = 10^6, so
+an input is rejected with ValueError, never mis-factored, when the part
+left of it is at least (10^6 + 1)^2 and has no divisor up to the bound.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import isqrt
 
-DEFAULT_SIEVE_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 10**6
 
 
 class ConsistencyError(AssertionError):
@@ -81,70 +84,38 @@ INFINITY = _InfiniteValuation()
 Valuation = int | _InfiniteValuation
 
 
-@cache
-def _sieve() -> tuple[list[int], frozenset[int]]:
-    """The primes up to DEFAULT_SIEVE_BOUND, by a sieve of Eratosthenes."""
-    bound = DEFAULT_SIEVE_BOUND
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * len(range(start, bound + 1, p))
-    primes = [i for i, f in enumerate(flags) if f]
-    return primes, frozenset(primes)
-
-
 def is_prime(n: int) -> bool:
-    """Primality by trial division against the sieve; exact for n up to the
-    square of DEFAULT_SIEVE_BOUND."""
-    if n < 2:
-        return False
-    primes, prime_set = _sieve()
-    if n <= DEFAULT_SIEVE_BOUND:
-        return n in prime_set
-    if n > DEFAULT_SIEVE_BOUND**2:
-        raise ValueError(
-            f"cannot decide primality of {n}: exceeds the square of the sieve "
-            f"bound {DEFAULT_SIEVE_BOUND}"
-        )
-    root = isqrt(n)
-    for p in primes[: bisect.bisect_right(primes, root)]:
-        if n % p == 0:
-            return False
-    return True
+    """Whether n is prime: n >= 2 and n is its own factorization. The answer
+    is certified as factorize's is, and raises ValueError where it does."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs with primes
     strictly increasing. The empty list is the factorization of 1.
 
-    Trial division against a precomputed sieve. The input itself may be
-    arbitrarily large as long as it is smooth enough: only when the part
-    left after dividing out every sieve prime exceeds the square of
-    DEFAULT_SIEVE_BOUND (so its primality cannot be certified) is the input
-    rejected, never silently mis-factored.
+    Trial division by 2 and the odd d while d*d <= rest, the part of n left.
+    When the loop ends, rest has no divisor below d and d*d > rest, so rest
+    is 1 or prime. If d passes TRIAL_DIVISION_BOUND first, rest cannot be
+    certified prime and the input is rejected, never mis-factored.
     """
     if n < 1:
         raise ValueError(f"factorize needs a positive integer, got {n}")
     out: list[tuple[int, int]] = []
     rest = n
-    for p in _sieve()[0]:
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            out.append((p, e))
-    if rest > 1:
-        if rest > DEFAULT_SIEVE_BOUND**2:
+    d = 2
+    while d * d <= rest:
+        if d > TRIAL_DIVISION_BOUND:
             raise ValueError(
-                f"unfactored part {rest} of {n} exceeds the square of the "
-                f"sieve bound {DEFAULT_SIEVE_BOUND}"
+                f"unfactored part {rest} of {n} has no divisor up to the trial "
+                f"division bound {TRIAL_DIVISION_BOUND} and cannot be certified prime"
             )
-        # rest has no prime factor <= the bound >= sqrt(rest), so rest is prime
+        if rest % d == 0:
+            e = _multiplicity(rest, d)
+            rest //= d**e
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if rest > 1:
         out.append((rest, 1))
     return out
 

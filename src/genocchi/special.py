@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 
-from .exact import ConsistencyError, den, factorize, is_prime, padic_valuation
+from .exact import ConsistencyError, den, factorize, is_prime
 from .series import EgfSeries, exp_sum_series, series_mul, series_reciprocal
 
 
@@ -181,14 +181,10 @@ def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:
 
 def check_valuation_bound(n: int, table: BernoulliTable) -> bool:
     """Whether nu_p(B_n) >= -1 at every prime p, that is, whether den(B_n)
-    is squarefree. Only primes dividing den(B_n) can have nu_p < 0, so those
-    are the primes scanned."""
+    is squarefree. B_n is in lowest terms, so nu_p(B_n) = -e for each prime
+    power p^e exactly dividing den(B_n), and nu_p(B_n) >= 0 at every other p."""
     if table.max_index < n:
         raise ValueError(
             f"Bernoulli table covers indices up to {table.max_index}, need {n}"
         )
-    x = table.values[n]
-    for p, _ in factorize(den(x)):
-        if not padic_valuation(x, p) >= -1:
-            return False
-    return True
+    return all(e == 1 for _, e in factorize(den(table.values[n])))

@@ -201,14 +201,13 @@ def _vsc_integrality_failures(n, a, g, bern, order):
 
 
 def _prop1_idc_failures(n, a, g, bern, order):
-    # n is the trial index
-    trial_order = order if order is not None else PROP1_DEFAULT_ORDER
+    # n is the trial index; run_grid has resolved the order
     try:
-        idc_reciprocal_scaled(_prop1_trial_series(n, trial_order))
+        idc_reciprocal_scaled(_prop1_trial_series(n, order))
     except ConsistencyError:
         yield (
             f"scaled reciprocal left the integers (trial {n})",
-            f"integer coefficients through order {trial_order}",
+            f"integer coefficients through order {order}",
         )
 
 
@@ -312,11 +311,12 @@ def run_grid(
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
     one table value by 1 before checking, to prove the harness can fail.
-    `order` sizes prop1_idc's trial series (default 30, below 1 an error);
-    other statements have none and note that they ignore it. The columns
-    run on at most `jobs` worker processes, and never on more than one per
-    column or per CPU. Failures come back sorted by (n, a); two identical
-    runs produce equal reports apart from elapsed_s.
+    `order` sizes prop1_idc's trial series (default 30, below 1 an error),
+    and prop1_idc notes the order used; other statements have none and note
+    that they ignore it. The columns run on at most `jobs` worker processes,
+    and never on more than one per column or per CPU. Failures come back
+    sorted by (n, a); two identical runs produce equal reports apart from
+    elapsed_s.
 
     `columns` memoises columns by (a, n_max), a being None for the
     classical column: a column found there is not built again, and each
@@ -379,11 +379,13 @@ def run_grid(
                 f"Bernoulli table covers indices up to {bern.max_index}, grid needs {needed}"
             )
 
-    if order is not None:
-        if theorem is not TheoremId.PROP1_IDC:
-            notes.append(f"{theorem.value} has no trial series; order ignored")
-        elif order < 1:  # a trial of order 0 is a constant, trivially IDC
+    if theorem is TheoremId.PROP1_IDC:
+        order = PROP1_DEFAULT_ORDER if order is None else order
+        if order < 1:  # a trial of order 0 is a constant, trivially IDC
             raise ValueError(f"order {order} is below 1 for {theorem.value}")
+        notes.append(f"trial series of order {order}")
+    elif order is not None:
+        notes.append(f"{theorem.value} has no trial series; order ignored")
 
     if columns is None:
         columns = {}

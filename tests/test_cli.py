@@ -188,6 +188,11 @@ class TestGenocchiCommand:
             assert ignored == (r["theorem"] != "prop1_idc"), r["theorem"]
             if r["theorem"] == "prop1_idc":
                 assert r["checked"] == 20
+                assert "trial series of order 5" in r["notes"]
+        # without --order prop1 notes the default order
+        code, out, _ = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3")
+        assert code == 0
+        assert "trial series of order 30" in canonical_reports_from_csv(out)[0]["notes"]
         # prop1's order sizes its trial series; below 1 every trial is a constant
         for order in ("0", "-2"):
             code, _, err = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3", "--order", order)

@@ -62,8 +62,8 @@ class TestFactorize:
             factorize(-12)
 
     def test_rejects_uncertifiable_remainder(self):
-        # a semiprime with both factors past the sieve cannot be finished
-        with pytest.raises(ValueError, match="sieve bound"):
+        # a semiprime with both factors past the bound cannot be finished
+        with pytest.raises(ValueError, match="trial division bound"):
             factorize(1000003 * 1000033)
 
     def test_square_of_bound_is_still_factorable(self):
@@ -80,12 +80,18 @@ class TestFactorize:
         assert factorize(2**50 * 3**30) == [(2, 50), (3, 30)]
 
     def test_prime_cofactor_past_the_bound_is_certified(self):
-        # 99990001 has no sieve-prime divisor but sits under bound**2
+        # 99990001 is a prime above the bound, certified as it is below bound**2
         n = 73 * 137 * 99990001
         assert factorize(n) == [(73, 1), (137, 1), (99990001, 1)]
+        # past bound**2 a part with no divisor up to the bound is still prime
+        # while it is below the square of the next trial divisor
+        assert factorize(10**12 + 39) == [(10**12 + 39, 1)]
 
     def test_agrees_with_naive_trial_division(self):
         for n in range(1, 2000):
+            assert factorize(n) == trial_factor(n)
+        # primes either side of the bound, and their product
+        for n in (999983, 1000003, 999983 * 1000003):
             assert factorize(n) == trial_factor(n)
 
     @given(st.integers(1, 10**6))
@@ -102,6 +108,8 @@ class TestFactorize:
         prime_set = set(primes_by_trial(2000))
         for n in range(-3, 2000):
             assert is_prime(n) == (n in prime_set)
+        # past bound**2, a small factor still decides
+        assert is_prime(2**50) is False
 
 
 class TestPadicValuation:
