@@ -6,7 +6,8 @@ diagnostics go to stderr. In JSON output every number that can grow
 without bound is a decimal string, never a native number, so output
 survives parsers with 53-bit integers. Exit codes: 0 success, 1 at
 least one verification failure, 2 usage, configuration or cache error,
-3 an internal cross-check failed (a bug, never a counterexample).
+or output that cannot be written, 3 an internal cross-check failed (a
+bug, never a counterexample).
 """
 
 from __future__ import annotations
@@ -270,8 +271,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except (CacheError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails must not pass for a result
+        return code
+    except (CacheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

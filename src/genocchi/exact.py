@@ -134,8 +134,12 @@ def padic_valuation(x, p: int):
     exponent in den(x). Returns INFINITY for x = 0."""
     if not is_prime(p):
         raise ValueError(f"padic_valuation needs a prime, got {p}")
-    x = Fraction(x)
-    if x == 0:
+    return _valuation(Fraction(x), p)
+
+
+def _valuation(x: Fraction, p: int) -> Valuation:
+    """nu_p(x) for a p the caller has already certified prime."""
+    if x == 0:  # _multiplicity(0, p) would never return
         return INFINITY
     return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
 
@@ -177,7 +181,7 @@ def congruent_mod(x, y, m: int) -> CongruenceJudgment:
     witness = []
     by_valuation = True
     for p, e in factorize(m):
-        v = padic_valuation(diff, p)
+        v = _valuation(diff, p)  # p comes from factorize, so it is prime
         witness.append((p, v, e))
         if not v >= e:
             by_valuation = False

@@ -7,14 +7,17 @@ basis the product of two series is the binomial convolution
 coefficients are all integers is called an IDC series. IDC series are
 closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
-again IDC whenever f is (see idc_reciprocal_scaled).
+again IDC whenever f is.
 
-series_reciprocal and idc_reciprocal_scaled share one back-substitution
-in Python ints. With d a common denominator of the coefficients and
-c = d*a_0, the numerators s_n = c^(n+1) r_n of the reciprocal obey an
-integer recurrence that starts at s_0 = d, and only the final
-r_n = s_n / c^(n+1) are made into Fractions. Every series this package
-inverts is IDC, so d is 1 there.
+series_reciprocal and idc_reciprocal_scaled share one clearing of
+denominators and one back-substitution in Python ints. With d the lcm of
+the denominators, a_k = d*f_k and c = a_0 = d*f_0, the reciprocal of f is
+r_n = s_n / c^(n+1) for the integers s_0 = d and
+s_n = -sum_{k=1..n} C(n,k) a_k c^(k-1) s_{n-k}. Coefficient n of
+f_0 / f(f_0 t) is f_0^(n+1) r_n = s_n / d^(n+1), so for IDC f, where d = 1,
+it is the integer s_n itself: that recurrence over the integers is the
+proof that f_0 / f(f_0 t) is IDC. Every series this package inverts is
+IDC, so d is 1 there.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
-
-from .exact import ConsistencyError
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,20 @@ def _back_substitute(a: list[int], s0: int) -> list[int]:
     return s
 
 
+def _cleared(f: EgfSeries) -> tuple[list[int], int]:
+    """The integer numerators a_k = d f_k and the common denominator d, the
+    lcm of the denominators of f."""
+    d = lcm(*(f_k.denominator for f_k in f.coeffs))
+    return [f_k.numerator * (d // f_k.denominator) for f_k in f.coeffs], d
+
+
 def series_reciprocal(f: EgfSeries) -> EgfSeries:
     """The series r with f*r = 1 up to the truncation order, by triangular
-    back-substitution in integers (see the module docstring). Requires a
-    nonzero constant term."""
+    back-substitution in integers: r_n = s_n / c^(n+1) with c = d f_0 (see
+    the module docstring). Requires a nonzero constant term."""
     if f.coeffs[0] == 0:
         raise ValueError("series_reciprocal needs a nonzero constant term")
-    # d times f*r = 1 gives c*r_n = -sum_{k=1..n} C(n,k) a_k r_{n-k} for the
-    # cleared a_k = d f_k, and c*r_0 = d; putting r_n = s_n / c^(n+1) turns
-    # it into s_n = -sum C(n,k) (a_k c^(k-1)) s_{n-k} with s_0 = d
-    d = lcm(*(f_k.denominator for f_k in f.coeffs))
-    a = [f_k.numerator * (d // f_k.denominator) for f_k in f.coeffs]
+    a, d = _cleared(f)
     out = []
     denom = 1
     for s_n in _back_substitute(a, d):
@@ -125,34 +129,16 @@ def exp_sum_series(a: int, order: int) -> EgfSeries:
 
 
 def idc_reciprocal_scaled(f: EgfSeries) -> EgfSeries:
-    """The series of a_0 / f(a_0 t) where a_0 = f(0) != 0. When f is IDC the
-    result is IDC as well; that closure is checked on every call."""
+    """The series of a_0 / f(a_0 t) where a_0 = f(0) != 0: coefficient n is
+    s_n / d^(n+1) (see the module docstring). When f is IDC, d = 1 and
+    s_n = -sum_{k=1..n} C(n,k) f_k a_0^(k-1) s_{n-k} is a recurrence over
+    the integers, so the result is IDC as well."""
     if f.coeffs[0] == 0:
         raise ValueError("idc_reciprocal_scaled needs a nonzero constant term")
-    # g = f(a_0 t) has g_k = f_k a_0^k; with a_0 = p/q and m the lcm of the
-    # denominators of f, d = m q^N clears every g_k. The reciprocal of g is
-    # s_n / c^(n+1) with c = d a_0, so coefficient n of a_0 / g is
-    # s_n / (d c^n). For IDC f, d = 1 and that division must be exact.
-    p, q = f.coeffs[0].numerator, f.coeffs[0].denominator
-    m = lcm(*(f_k.denominator for f_k in f.coeffs))
-    d = m * q**f.order
-    a = []
-    p_k, q_k = 1, d // m
-    for f_k in f.coeffs:
-        a.append(f_k.numerator * (m // f_k.denominator) * p_k * q_k)
-        p_k *= p
-        q_k //= q
+    a, d = _cleared(f)
     out = []
-    denom = d
-    for n, s_n in enumerate(_back_substitute(a, d)):
-        if d == 1:
-            h_n, rem = divmod(s_n, denom)
-            if rem:
-                raise ConsistencyError(
-                    f"scaled reciprocal of an IDC series came out non-integral at index {n}"
-                )
-            out.append(Fraction(h_n))
-        else:
-            out.append(Fraction(s_n, denom))
-        denom *= a[0]
+    denom = 1
+    for s_n in _back_substitute(a, d):
+        denom *= d
+        out.append(Fraction(s_n, denom))
     return EgfSeries(tuple(out))

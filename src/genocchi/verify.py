@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from time import perf_counter
 
-from .exact import ConsistencyError, congruent_mod, coprime_part, num
+from .exact import congruent_mod, coprime_part, num
 from .series import EgfSeries, idc_reciprocal_scaled
 from .special import (
     BernoulliTable,
@@ -202,9 +202,8 @@ def _vsc_integrality_failures(n, a, g, bern, order):
 
 def _prop1_idc_failures(n, a, g, bern, order):
     # n is the trial index; run_grid has resolved the order
-    try:
-        idc_reciprocal_scaled(_prop1_trial_series(n, order))
-    except ConsistencyError:
+    h = idc_reciprocal_scaled(_prop1_trial_series(n, order))
+    if any(h_k.denominator != 1 for h_k in h.coeffs):
         yield (
             f"scaled reciprocal left the integers (trial {n})",
             f"integer coefficients through order {order}",

@@ -1,8 +1,10 @@
 """Command-line contract: formats, exit codes, cache wiring, round trips."""
 
 import csv
+import errno
 import io
 import json
+import sys
 from fractions import Fraction
 
 from genocchi.cache import save_bernoulli_cache
@@ -198,6 +200,16 @@ class TestGenocchiCommand:
             code, _, err = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3", "--order", order)
             assert code == 2, order
             assert f"order {order} is below 1 for prop1_idc" in err, order
+
+    def test_unwritable_output_exits_two(self, capsys, monkeypatch):
+        # exit 1 means a counterexample; a full disk is an error like any other
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["genocchi", "--n-max", "10", "--a", "3"]) == 2
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
 
     def test_internal_error_exits_three(self, capsys, monkeypatch, tmp_path):
         def broken(*args):

@@ -2,10 +2,14 @@
 capture, and the per-statement checks."""
 
 import os
+from fractions import Fraction
 
 import pytest
 
+from genocchi import verify
+
 from genocchi.exact import coprime_part
+from genocchi.series import EgfSeries, idc_reciprocal_scaled
 from genocchi.special import (
     bernoulli_table,
     gen_genocchi_egf,
@@ -263,6 +267,27 @@ class TestMutation:
     def test_prop2_mutation_detected(self):
         r = run_grid(TheoremId.PROP2_EQUIV, (1, 10), (2, 4), mutate=(6, 3))
         assert [(f.n, f.a) for f in r.failures] == [(6, 3)]
+
+    def test_prop1_reports_a_non_integral_trial(self, monkeypatch):
+        # prop1 judges the coefficients it gets, not merely that they come back
+        bad = _prop1_trial_series(3, 30)
+
+        def one_off(f):
+            h = idc_reciprocal_scaled(f).coeffs
+            if f == bad:
+                h = (*h[:7], h[7] + Fraction(1, 2), *h[8:])
+            return EgfSeries(h)
+
+        monkeypatch.setattr(verify, "idc_reciprocal_scaled", one_off)
+        r = run_grid(TheoremId.PROP1_IDC, (1, 5))
+        assert r.failures == (
+            GridFailure(
+                3,
+                None,
+                "scaled reciprocal left the integers (trial 3)",
+                "integer coefficients through order 30",
+            ),
+        )
 
     def test_mutation_never_reaches_shared_columns(self):
         columns = {}
