@@ -6,8 +6,8 @@ diagnostics go to stderr. In JSON output every number that can grow
 without bound is a decimal string, never a native number, so output
 survives parsers with 53-bit integers. Exit codes: 0 success, 1 at
 least one verification failure, 2 usage, configuration or cache error,
-or output that cannot be written, 3 an internal cross-check failed (a
-bug, never a counterexample).
+or output that cannot be written (quietly when the reader closed the
+pipe), 3 an internal cross-check failed (a bug, never a counterexample).
 """
 
 from __future__ import annotations
@@ -72,12 +72,11 @@ def render_genocchi_csv(a: int, values: list[int]) -> str:
 
 
 def render_genocchi_json(a: int, values: list[int]) -> str:
-    payload = {
-        "a": a,
-        "n_max": len(values) - 1,
-        "values": [str(v) for v in values],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    """The bytes json.dumps(payload, indent=1) + "\\n" gives for
+    {"a": a, "n_max": ..., "values": [decimal strings]}, written directly:
+    a decimal string needs no escaping. A column has at least G_0."""
+    items = '",\n  "'.join(map(str, values))
+    return f'{{\n "a": {a},\n "n_max": {len(values) - 1},\n "values": [\n  "{items}"\n ]\n}}\n'
 
 
 def render_reports_csv(reports: list[VerificationReport]) -> str:
@@ -274,6 +273,10 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a write that fails must not pass for a result
         return code
+    except BrokenPipeError:
+        # a reader that stops early (`| head`) is no error to report, but
+        # the output is incomplete
+        return 2
     except (CacheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

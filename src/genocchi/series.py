@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,25 @@ class EgfSeries:
 
 def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
     """Binomial convolution: out_n = sum_k C(n,k) f_k g_{n-k}, summed over
-    the nonzero f_k only, so a product with a monomial is O(N)."""
+    the nonzero f_k only, so a product with a monomial is O(N). Each term is
+    one Fraction C(n,k) p_k p / (q_k q) for f_k = p_k/q_k and g_{n-k} = p/q,
+    normalised once."""
     if f.order != g.order:
         raise ValueError(
             f"series_mul needs equal truncation orders, got {f.order} and {g.order}"
         )
-    terms = [(k, f_k) for k, f_k in enumerate(f.coeffs) if f_k]
+    terms = [(k, f_k.numerator, f_k.denominator) for k, f_k in enumerate(f.coeffs) if f_k]
+    g_coeffs = g.coeffs
     out = []
     for n in range(f.order + 1):
-        acc = Fraction(0)
-        for k, f_k in terms:
+        acc = None  # the first term starts the sum: adding it to 0 costs a Fraction more
+        for k, p_k, q_k in terms:
             if k > n:
                 break
-            acc += comb(n, k) * f_k * g.coeffs[n - k]
-        out.append(acc)
+            g_m = g_coeffs[n - k]
+            term = Fraction(comb(n, k) * p_k * g_m.numerator, q_k * g_m.denominator)
+            acc = term if acc is None else acc + term
+        out.append(Fraction(0) if acc is None else acc)
     return EgfSeries(tuple(out))
 
 
@@ -122,9 +127,12 @@ def exp_sum_series(a: int, order: int) -> EgfSeries:
         raise ValueError(f"exp_sum_series needs a >= 2, got {a}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    bases = range(1, a)
+    powers = [1] * (a - 1)  # k^n for k = 1..a-1, kept from one order to the next
     coeffs = [Fraction(a)]
-    for n in range(1, order + 1):
-        coeffs.append(Fraction(sum(k**n for k in range(1, a))))
+    for _ in range(order):
+        powers = list(map(mul, powers, bases))
+        coeffs.append(Fraction(sum(powers)))
     return EgfSeries(tuple(coeffs))
 
 

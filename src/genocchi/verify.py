@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -143,9 +142,16 @@ def _prop1_trial_series(trial: int, order: int) -> EgfSeries:
 # attribute (as a tracer does) takes effect here too.
 
 
+def _base(a: int | None) -> int:
+    """The base of the column a statement reads at a; one without bases
+    reads the classical column, a = 2."""
+    return 2 if a is None else a
+
+
 def _column(a: int | None, n_hi: int) -> list[int]:
-    """The base-a column, or the classical column for a statement without bases."""
-    return genocchi_table(n_hi) if a is None else gen_genocchi_table(a, n_hi)
+    """The base-a column, built through genocchi_table when a is 2 or None."""
+    a = _base(a)
+    return genocchi_table(n_hi) if a == 2 else gen_genocchi_table(a, n_hi)
 
 
 def _lemma_n_div_failures(n, a, g, bern, order):
@@ -317,10 +323,10 @@ def run_grid(
     sorted by (n, a); two identical runs produce equal reports apart from
     elapsed_s.
 
-    `columns` memoises columns by (a, n_max), a being None for the
-    classical column: a column found there is not built again, and each
-    column built is stored there, never in its mutated form. Runs that share
-    one dict (the statements of one command) build each column once.
+    `columns` memoises columns by (a, n_max), a being 2 for the classical
+    column: a column found there is not built again, and each column built
+    is stored there, never in its mutated form. Runs that share one dict
+    (the statements of one command) build each column once.
     """
     start = perf_counter()
     statement = STATEMENTS[theorem]
@@ -388,16 +394,23 @@ def run_grid(
 
     if columns is None:
         columns = {}
-    tasks = [(statement, a, n_lo, n_hi, order, mutate, bern, columns.get((a, n_hi))) for a in bases]
+    tasks = [
+        (statement, a, n_lo, n_hi, order, mutate, bern, columns.get((_base(a), n_hi)))
+        for a in bases
+    ]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        # imported here, not at module level, so that single-process runs
+        # do not pay for it at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_column, tasks))
     else:
         results = [_evaluate_column(t) for t in tasks]
     for a, (_, _, built) in zip(bases, results):
         if built is not None:
-            columns[(a, n_hi)] = built
+            columns[(_base(a), n_hi)] = built
     failures = [f for _, col_failures, _ in results for f in col_failures]
     failures.sort(key=lambda fl: (fl.n, fl.a if fl.a is not None else 0))
     return VerificationReport(

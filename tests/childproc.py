@@ -17,11 +17,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
-def run_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def run_python(
+    *args: str, env: dict[str, str] | None = None, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """``python *args`` with ``src`` first on ``PYTHONPATH``; output captured as
-    text. ``env`` adds variables to the inherited environment."""
+    text, unless ``stdout`` names another file descriptor for it. ``env`` adds
+    variables to the inherited environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
     )

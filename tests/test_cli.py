@@ -4,17 +4,19 @@ import csv
 import errno
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
 from genocchi.cache import save_bernoulli_cache
 from genocchi.cli import (
     main,
+    render_genocchi_json,
     render_reports_csv,
     render_reports_json,
 )
 from genocchi.exact import ConsistencyError
-from genocchi import verify
+from genocchi import special, verify
 from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
@@ -164,6 +166,13 @@ class TestGenocchiCommand:
             "values": ["0", "1", "-4", "6", "16", "-74", "-264", "1946", "9056"],
         }
 
+    def test_json_bytes_are_those_of_json_dumps(self):
+        cases = [(2, [0]), (3, [0, 1, -2, 1, 4, -5, -26]), (10, gen_genocchi_table(10, 12)),
+                 (25, gen_genocchi_table(25, 30)), (7, [0, -(10**60), 10**60 + 1])]
+        for a, values in cases:
+            payload = {"a": a, "n_max": len(values) - 1, "values": [str(v) for v in values]}
+            assert render_genocchi_json(a, values) == json.dumps(payload, indent=1) + "\n"
+
     def test_bad_base_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "genocchi", "--n-max", "4", "--a", "1")
         assert code == 2 and "--a" in err
@@ -210,6 +219,20 @@ class TestGenocchiCommand:
         monkeypatch.setattr(sys, "stdout", FullStdout())
         assert main(["genocchi", "--n-max", "10", "--a", "3"]) == 2
         assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+    def test_closed_pipe_exits_two_quietly(self):
+        # a reader that stops early (`| head`) is no error to report, but
+        # the output was not all written, so the exit code stays 2
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            for n_max in ("0", "300"):
+                proc = run_python("-m", "genocchi", "genocchi", "--n-max", n_max, "--a", "3",
+                                  stdout=write_end)
+                assert proc.returncode == 2, n_max
+                assert proc.stderr == "", n_max
+        finally:
+            os.close(write_end)
 
     def test_internal_error_exits_three(self, capsys, monkeypatch, tmp_path):
         def broken(*args):
@@ -275,15 +298,20 @@ class TestVerifyCommand:
         assert all(r["failure_count"] == 0 for r in reports)
 
     def test_all_builds_each_column_once_per_command(self, capsys, tmp_path, monkeypatch):
+        # counted under every name the kernel has, so a base-2 column built
+        # through genocchi_table counts too
         built = []
 
         def counting(a, n_max):
             built.append((a, n_max))
             return gen_genocchi_table(a, n_max)
 
-        monkeypatch.setattr(verify, "gen_genocchi_table", counting)
-        argv = ["verify", "all", "--n-max", "12", "--a-max", "4",
-                "--cache-path", str(tmp_path / "b.json")]
+        cache = str(tmp_path / "b.json")
+        # warm: a cold cache builds a base-2 column of its own to check B_n
+        assert run_cli(capsys, "bernoulli", "--n-max", "12", "--cache-path", cache)[0] == 0
+        for module in (special, verify):
+            monkeypatch.setattr(module, "gen_genocchi_table", counting)
+        argv = ["verify", "all", "--n-max", "12", "--a-max", "4", "--cache-path", cache]
         for _ in range(2):  # no column outlives its command
             built.clear()
             assert run_cli(capsys, *argv)[0] == 0
@@ -401,6 +429,20 @@ def project_scripts(pyproject):
             name, target = (part.strip() for part in line.split("=", 1))
             scripts[name] = target.strip("\"'")
     return scripts
+
+
+class TestStartup:
+    def test_single_process_runs_import_no_pool(self, tmp_path):
+        probe = (
+            "import sys; from genocchi.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, 'concurrent.futures' in sys.modules, file=sys.stderr)"
+        )
+        for argv in (["genocchi", "--n-max", "5"],
+                     ["verify", "all", "--n-max", "6", "--a-max", "3",
+                      "--cache-path", str(tmp_path / "b.json")]):
+            proc = run_python("-c", probe, *argv)
+            assert proc.stderr.splitlines()[-1] == "0 False", (argv, proc.stderr)
 
 
 class TestConsoleScript:

@@ -109,6 +109,18 @@ class TestAddMul:
             (EgfSeries((0, 0, -3, 0, 0, 0, 5, 0, 0, 0, 0, 0, 2)), g),
             (EgfSeries((4,) + (0,) * 12), g),
         ]
+
+        # sparse pairs with rational f_k and zeros in g: each term's
+        # numerator and denominator meet in one normalisation
+        def sparse_rational(zero_share):
+            return EgfSeries(tuple(
+                Fraction(0) if rng.random() < zero_share
+                else Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                for _ in range(13)
+            ))
+
+        pairs += [(sparse_rational(0.7), sparse_rational(0.3)) for _ in range(40)]
+        assert sum(any(c.denominator != 1 for c in f.coeffs) for f, _ in pairs) >= 35
         for f, g in pairs:
             via_binomial = series_mul(f, g).coeffs
             via_ordinary = diffs_from_ordinary(
@@ -199,6 +211,10 @@ class TestExpSum:
         f = exp_sum_series(3, 4)
         assert f == EgfSeries((3, 3, 5, 9, 17))  # 1 + 2^n for n >= 1
         assert exp_sum_series(5, 3)[3] == 1 + 8 + 27 + 64
+        for a in range(2, 26):
+            for order in (1, 2, 7, 60):
+                sums = [sum(k**n for k in range(a)) for n in range(order + 1)]
+                assert exp_sum_series(a, order) == EgfSeries(tuple(sums)), (a, order)
 
     def test_order_zero(self):
         assert exp_sum_series(4, 0) == EgfSeries((4,))

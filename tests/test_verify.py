@@ -231,7 +231,7 @@ class TestDeterminism:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("genocchi.verify.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         serial = run_grid(TheoremId.THEOREM1, (1, 12), (2, 3))
         # jobs 3 on two columns: at most one worker per column and per CPU
         for cpus, expected in ((4, [2]), (1, []), (None, [])):
