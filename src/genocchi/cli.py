@@ -55,14 +55,14 @@ def render_bernoulli_csv(table: BernoulliTable, n_max: int) -> str:
 
 
 def render_bernoulli_json(table: BernoulliTable, n_max: int) -> str:
-    payload = {
-        "max_index": n_max,
-        "values": [
-            {"num": str(table.values[i].numerator), "den": str(table.values[i].denominator)}
-            for i in range(n_max + 1)
-        ],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    """The bytes json.dumps(payload, indent=1) + "\\n" gives for
+    {"max_index": n_max, "values": [{"num": ..., "den": ...}, ...]} with
+    decimal strings, written directly as in render_genocchi_json."""
+    items = ",\n".join(
+        f'  {{\n   "num": "{v.numerator}",\n   "den": "{v.denominator}"\n  }}'
+        for v in table.values[: n_max + 1]
+    )
+    return f'{{\n "max_index": {n_max},\n "values": [\n{items}\n ]\n}}\n'
 
 
 def render_genocchi_csv(a: int, values: list[int]) -> str:
@@ -153,8 +153,6 @@ def cmd_genocchi(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     if args.a_max < 2:
         raise ValueError(f"--a-max must be at least 2, got {args.a_max}")
     if args.jobs < 1:
@@ -165,6 +163,10 @@ def cmd_verify(args) -> int:
         theorems = list(TheoremId)
     else:
         theorems = [TheoremId(args.theorem)]
+    # fail before any statement runs, not partway through `all`
+    min_n = max(STATEMENTS[t].min_n for t in theorems)
+    if args.n_max < min_n:
+        raise ValueError(f"--n-max must be at least {min_n} for {args.theorem}, got {args.n_max}")
 
     bernoulli = None
     if any(STATEMENTS[t].bernoulli_offset is not None for t in theorems):

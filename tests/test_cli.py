@@ -11,6 +11,7 @@ from fractions import Fraction
 from genocchi.cache import save_bernoulli_cache
 from genocchi.cli import (
     main,
+    render_bernoulli_json,
     render_genocchi_json,
     render_reports_csv,
     render_reports_json,
@@ -91,6 +92,16 @@ class TestBernoulliCommand:
         assert payload["values"][4] == {"num": "-1", "den": "30"}
         assert payload["values"][12] == {"num": "-691", "den": "2730"}
         assert all(isinstance(v["num"], str) for v in payload["values"])
+
+    def test_json_bytes_are_those_of_json_dumps(self):
+        table = bernoulli_table(150)
+        for n_max in (0, 1, 2, 150):
+            payload = {
+                "max_index": n_max,
+                "values": [{"num": str(v.numerator), "den": str(v.denominator)}
+                           for v in table.values[: n_max + 1]],
+            }
+            assert render_bernoulli_json(table, n_max) == json.dumps(payload, indent=1) + "\n"
 
     def test_index_zero_only(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -326,6 +337,17 @@ class TestVerifyCommand:
         for r in one + two:
             del r["elapsed_s"]
         assert one == two
+
+    def test_n_max_below_a_statements_hypothesis_exits_two_before_checking(self, capsys, tmp_path):
+        # theorem2 starts at n = 2, so `all` must stop before lemma_n_div runs
+        code, out, err = run_cli(
+            capsys, "verify", "all", "--n-max", "1", "--cache-path", str(tmp_path / "b.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--n-max must be at least 2" in err
+        assert "checked" not in err
+        assert not (tmp_path / "b.json").exists()
 
     def test_unknown_statement_exits_two(self, capsys):
         assert run_cli(capsys, "verify", "nosuch")[0] == 2

@@ -9,11 +9,14 @@ from hypothesis import given, strategies as st
 
 from genocchi.series import (
     EgfSeries,
+    _back_substitute,
+    _cleared,
     exp_sum_series,
     idc_reciprocal_scaled,
     series_mul,
     series_reciprocal,
 )
+from genocchi.special import bernoulli_table, gen_genocchi_bernoulli
 from oracles import (
     GENOCCHI_FROZEN,
     GENOCCHI_SHIFTED_FROZEN,
@@ -171,6 +174,18 @@ class TestReciprocal:
             EgfSeries((-2, 1) + (0,) * 9),
             EgfSeries((Fraction(2, 3), Fraction(-1, 2), 0, Fraction(5, 7), 1, 0, 3)),
             EgfSeries(tuple(Fraction(1, n + 1) for n in range(12))),
+            # inputs whose numerators p_n take c out more than once, or
+            # need the common power of c raised
+            exp_sum_series(2, 30),  # r_n = 0 at every even n >= 2
+            exp_sum_series(6, 40),
+            # c = 6 against d = 5, and c = 6 against d = 4 sharing a factor
+            EgfSeries((Fraction(6, 5), Fraction(3, 5), Fraction(-2, 5), Fraction(1, 5),
+                       Fraction(4, 5), Fraction(-7, 5), Fraction(9, 5), 0, Fraction(2, 5))),
+            EgfSeries((Fraction(3, 2), Fraction(1, 4), Fraction(-3, 4), 2, Fraction(5, 4),
+                       0, Fraction(-1, 2), Fraction(7, 4))),
+            # c = -2 with a_k = (-2)^(k+1) b_k, so r_n = (-2)^(n-1) times an integer
+            EgfSeries(tuple((-2) ** (k + 1) * b for k, b in enumerate(
+                [1, 3, -1, 0, 2, -5, 4, 1, 0, -3, 2]))),
         ]
         for f in inputs:
             via_binomial = series_reciprocal(f).coeffs
@@ -178,6 +193,26 @@ class TestReciprocal:
                 ordinary_reciprocal(ordinary_from_diffs(list(f.coeffs)))
             )
             assert list(via_binomial) == via_ordinary
+
+    def test_power_sum_reciprocal_matches_bernoulli_sum(self):
+        # r = 1/(1 + e^t + ... + e^{(a-1)t}) has r_n = G_{n+1,a} / (a (n+1)),
+        # and the Bernoulli-sum route reaches G_{n+1,a} without any series
+        order = 80
+        table = bernoulli_table(order + 1)
+        for a in range(2, 13):
+            r = series_reciprocal(exp_sum_series(a, order))
+            for n in range(order + 1):
+                assert r[n] * a * (n + 1) == gen_genocchi_bernoulli(n + 1, a, table), (a, n)
+
+    def test_kernel_keeps_each_exponent_least(self):
+        # values alone cannot tell r_n = p_n / c^e_n from an unreduced
+        # p_n c / c^(e_n + 1), so the kernel's own output is pinned: c divides
+        # no p_n that still carries a power of c
+        for a, order in ((2, 60), (6, 60), (12, 60), (20, 60)):
+            coeffs, d = _cleared(exp_sum_series(a, order))
+            p, e = _back_substitute(coeffs, d)
+            assert all(e_n == 0 or p_n % a for p_n, e_n in zip(p, e)), a
+            assert max(e) <= 6, a
 
 
 class TestScaleArg:
