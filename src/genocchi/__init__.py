@@ -2,8 +2,6 @@
 verification of their divisibility and congruence properties."""
 
 from .exact import (
-    INFINITY,
-    CongruenceJudgment,
     ConsistencyError,
     congruent_mod,
     coprime_part,
@@ -11,7 +9,6 @@ from .exact import (
     factorize,
     is_prime,
     num,
-    padic_valuation,
 )
 from .series import (
     EgfSeries,
@@ -57,11 +54,9 @@ __all__ = [
     "BernoulliTable",
     "CacheCorruptionError",
     "CacheError",
-    "CongruenceJudgment",
     "ConsistencyError",
     "EgfSeries",
     "GridFailure",
-    "INFINITY",
     "TheoremId",
     "VerificationReport",
     "bernoulli_table",
@@ -87,7 +82,6 @@ __all__ = [
     "is_prime",
     "load_bernoulli_cache",
     "num",
-    "padic_valuation",
     "run_grid",
     "save_bernoulli_cache",
     "series_mul",

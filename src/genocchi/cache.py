@@ -90,7 +90,8 @@ def load_bernoulli_cache(path) -> BernoulliTable:
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="ascii"))
-    except (OSError, ValueError) as exc:
+    # json.loads raises RecursionError on deeply nested brackets
+    except (OSError, ValueError, RecursionError) as exc:
         raise CacheCorruptionError(f"cache file {p}: unreadable: {exc}") from exc
     if not isinstance(raw, dict):
         raise CacheCorruptionError(f"cache file {p}: top level is not a JSON object")

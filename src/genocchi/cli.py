@@ -39,19 +39,12 @@ def default_cache_path() -> Path:
     return Path.home() / ".cache" / "genocchi" / "bernoulli.json"
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def render_bernoulli_csv(table: BernoulliTable, n_max: int) -> str:
-    rows = [["index", "numerator", "denominator"]]
-    for i in range(n_max + 1):
-        v = table.values[i]
-        rows.append([str(i), str(v.numerator), str(v.denominator)])
-    return _csv_text(rows)
+    """The bytes csv.writer gives for these rows, joined directly: no
+    integer field can need quoting."""
+    values = table.values[: n_max + 1]
+    rows = "".join(f"{i},{v.numerator},{v.denominator}\n" for i, v in enumerate(values))
+    return "index,numerator,denominator\n" + rows
 
 
 def render_bernoulli_json(table: BernoulliTable, n_max: int) -> str:
@@ -66,9 +59,8 @@ def render_bernoulli_json(table: BernoulliTable, n_max: int) -> str:
 
 
 def render_genocchi_csv(a: int, values: list[int]) -> str:
-    rows = [["n", "value"]]
-    rows.extend([str(n), str(v)] for n, v in enumerate(values))
-    return _csv_text(rows)
+    """As render_bernoulli_csv: csv.writer's bytes, joined directly."""
+    return "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
 
 
 def render_genocchi_json(a: int, values: list[int]) -> str:
@@ -95,7 +87,9 @@ def render_reports_csv(reports: list[VerificationReport]) -> str:
                 "failure", r.theorem.value, "", "", "", "", "", "", "", "",
                 str(f.n), "" if f.a is None else str(f.a), f.observed, f.expected,
             ])
-    return _csv_text(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def render_reports_json(reports: list[VerificationReport]) -> str:

@@ -1,11 +1,12 @@
 """Exact arithmetic primitives: normalized rationals, factorization,
-p-adic valuations, coprime parts, and congruences extended to Q.
+coprime parts, and congruences extended to Q.
 
 A rational x is always kept in lowest terms with a positive denominator,
 so den(x) is the smallest positive integer d with d*x an integer and
 num(x) = d*x carries the sign. On top of that convention the congruence
-x = y (mod m) extends from Z to Q: it holds iff m divides num(x - y),
-equivalently iff nu_p(x - y) >= nu_p(m) for every prime p dividing m.
+x = y (mod m) extends from Z to Q: it holds iff m divides num(x - y).
+The equivalent definition by valuations, nu_p(x - y) >= nu_p(m) at every
+prime p dividing m, is the one the tests check it against.
 
 Factorization is trial division with nothing precomputed, and primality is
 read from it. A part left after trial division by every d with d*d <= it
@@ -16,7 +17,6 @@ left of it is at least (10^6 + 1)^2 and has no divisor up to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -35,53 +35,6 @@ def num(x) -> int:
 def den(x) -> int:
     """Smallest positive integer d with d*x an integer."""
     return Fraction(x).denominator
-
-
-class _InfiniteValuation:
-    """The valuation of zero. Compares greater than every finite valuation
-    and deliberately supports no arithmetic, so it can never be mistaken
-    for a large integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash(type(self))
-
-    def __gt__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is not self
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int) or other is self:
-            return True
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, int) or other is self:
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is self
-        return NotImplemented
-
-
-INFINITY = _InfiniteValuation()
-
-Valuation = int | _InfiniteValuation
 
 
 def is_prime(n: int) -> bool:
@@ -129,21 +82,6 @@ def _multiplicity(n: int, p: int) -> int:
     return e
 
 
-def padic_valuation(x, p: int):
-    """nu_p(x) for a rational x: the exponent of p in num(x) minus the
-    exponent in den(x). Returns INFINITY for x = 0."""
-    if not is_prime(p):
-        raise ValueError(f"padic_valuation needs a prime, got {p}")
-    return _valuation(Fraction(x), p)
-
-
-def _valuation(x: Fraction, p: int) -> Valuation:
-    """nu_p(x) for a p the caller has already certified prime."""
-    if x == 0:  # _multiplicity(0, p) would never return
-        return INFINITY
-    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
-
-
 def coprime_part(n: int, a: int) -> int:
     """Greatest positive divisor of n that is coprime with a; for a = 2 this
     is the odd part of n."""
@@ -156,38 +94,8 @@ def coprime_part(n: int, a: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CongruenceJudgment:
-    """Outcome of a congruence test over Q. The witness lists, for each prime
-    p dividing the modulus, the pair of valuations nu_p(difference) and
-    nu_p(modulus); the congruence holds iff the former is >= the latter at
-    every listed prime."""
-
-    holds: bool
-    modulus: int
-    witness: tuple[tuple[int, Valuation, int], ...]
-
-
-def congruent_mod(x, y, m: int) -> CongruenceJudgment:
-    """Decide x = y (mod m) over Q: whether m divides num(x - y).
-
-    Both characterizations (numerator divisibility and the per-prime
-    valuation comparison) are evaluated and must agree.
-    """
+def congruent_mod(x, y, m: int) -> bool:
+    """Decide x = y (mod m) over Q: whether m divides num(x - y)."""
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    diff = Fraction(x) - Fraction(y)
-    by_numerator = diff.numerator % m == 0
-    witness = []
-    by_valuation = True
-    for p, e in factorize(m):
-        v = _valuation(diff, p)  # p comes from factorize, so it is prime
-        witness.append((p, v, e))
-        if not v >= e:
-            by_valuation = False
-    if by_numerator != by_valuation:
-        raise ConsistencyError(
-            f"congruence criteria disagree for x={x}, y={y}, m={m}: "
-            f"numerator says {by_numerator}, valuations say {by_valuation}"
-        )
-    return CongruenceJudgment(holds=by_numerator, modulus=m, witness=tuple(witness))
+    return (Fraction(x) - Fraction(y)).numerator % m == 0

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from time import perf_counter
 
-from .exact import congruent_mod, coprime_part, num
+from .exact import congruent_mod, coprime_part
 from .series import EgfSeries, idc_reciprocal_scaled
 from .special import (
     BernoulliTable,
@@ -89,10 +89,9 @@ def check_theorem1(n: int, a: int, g: int | None = None) -> bool:
     return _holds(TheoremId.THEOREM1, n, a, g)
 
 
-def check_theorem2(n: int, a: int, g: int | None = None):
-    """G_{n,a} = 1 - (n/2)*a (mod a), as a congruence over Q. Returns the
-    full CongruenceJudgment rather than a bare bool."""
-    return _theorem2_judgment(n, a, _point_value(TheoremId.THEOREM2, n, a, g))[1]
+def check_theorem2(n: int, a: int, g: int | None = None) -> bool:
+    """G_{n,a} = 1 - (n/2)*a (mod a), as a congruence over Q."""
+    return _holds(TheoremId.THEOREM2, n, a, g)
 
 
 def check_corollary2(n: int, a: int, g: int | None = None) -> bool:
@@ -167,16 +166,10 @@ def _theorem1_failures(n, a, g, bern, order):
         yield f"G = {g} = {r} (mod {pi})", f"0 (mod {pi})"
 
 
-def _theorem2_judgment(n, a, g):
-    """G - (1 - n*a/2), and whether a divides its numerator."""
-    diff = Fraction(g) - (1 - Fraction(n, 2) * a)
-    return diff, congruent_mod(diff, 0, a)
-
-
 def _theorem2_failures(n, a, g, bern, order):
-    diff, judgment = _theorem2_judgment(n, a, g)
-    if not judgment.holds:
-        yield f"num(G - (1 - n*a/2)) = {num(diff)}", f"0 (mod {a})"
+    diff = Fraction(2 * (g - 1) + n * a, 2)  # G - (1 - n*a/2)
+    if not congruent_mod(diff, 0, a):
+        yield f"num(G - (1 - n*a/2)) = {diff.numerator}", f"0 (mod {a})"
 
 
 def _corollary2_failures(n, a, g, bern, order):

@@ -102,6 +102,17 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def valuation(x, p: int) -> int:
+    """nu_p(x) for a rational x != 0: the exponent of p in its numerator
+    minus the exponent in its denominator, counted by repeated division."""
+    x, v = Fraction(x), 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
 def primes_by_trial(bound: int) -> list[int]:
     """All primes <= bound, as the n whose naive factorization is n itself."""
     return [n for n in range(2, bound + 1) if trial_factor(n) == [(n, 1)]]

@@ -120,8 +120,10 @@ class TestCorruption:
         self._expect_corruption(cache_path, "malformed")
 
     def test_unparseable_file(self, cache_path):
-        cache_path.write_text("{ not json")
-        self._expect_corruption(cache_path, "unreadable")
+        # json.loads recurses once per bracket: deep nesting is RecursionError
+        for text in ("{ not json", "[" * 200_000):
+            cache_path.write_text(text)
+            self._expect_corruption(cache_path, "unreadable")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CacheCorruptionError):

@@ -2,22 +2,28 @@
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from genocchi.cache import save_bernoulli_cache
 from genocchi.cli import (
     main,
+    render_bernoulli_csv,
     render_bernoulli_json,
+    render_genocchi_csv,
     render_genocchi_json,
     render_reports_csv,
     render_reports_json,
 )
 from genocchi.exact import ConsistencyError
-from genocchi import special, verify
+from genocchi import cli, special, verify
 from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
@@ -28,6 +34,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def parse_csv(text):
@@ -103,6 +115,14 @@ class TestBernoulliCommand:
             }
             assert render_bernoulli_json(table, n_max) == json.dumps(payload, indent=1) + "\n"
 
+    def test_csv_bytes_are_those_of_csv_writer(self):
+        table = bernoulli_table(150)
+        for n_max in (0, 1, 2, 150):
+            rows = [["index", "numerator", "denominator"]]
+            values = table.values[: n_max + 1]
+            rows += [[i, v.numerator, v.denominator] for i, v in enumerate(values)]
+            assert render_bernoulli_csv(table, n_max) == csv_writer_text(rows)
+
     def test_index_zero_only(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "bernoulli", "--n-max", "0",
@@ -138,6 +158,15 @@ class TestBernoulliCommand:
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
         assert str(path) in err and "object" in err
+
+    def test_deeply_nested_cache_exits_two(self, capsys, tmp_path):
+        # a crash here would exit 1, which reads as a counterexample
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        for argv in (["bernoulli", "--n-max", "3"], ["verify", "vsc_integrality", "--n-max", "4"]):
+            code, _, err = run_cli(capsys, *argv, "--cache-path", str(path))
+            assert code == 2
+            assert str(path) in err and "unreadable" in err
 
     def test_unwritable_cache_exits_two_and_names_the_file(self, capsys, tmp_path):
         parent = tmp_path / "not-a-dir"
@@ -183,6 +212,13 @@ class TestGenocchiCommand:
         for a, values in cases:
             payload = {"a": a, "n_max": len(values) - 1, "values": [str(v) for v in values]}
             assert render_genocchi_json(a, values) == json.dumps(payload, indent=1) + "\n"
+
+    def test_csv_bytes_are_those_of_csv_writer(self):
+        cases = [(2, [0]), (2, genocchi_table(40)), (25, gen_genocchi_table(25, 30)),
+                 (25, [0, -(10**60), 10**60 + 1])]
+        for a, values in cases:
+            rows = [["n", "value"]] + [[n, v] for n, v in enumerate(values)]
+            assert render_genocchi_csv(a, values) == csv_writer_text(rows)
 
     def test_bad_base_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "genocchi", "--n-max", "4", "--a", "1")
@@ -372,6 +408,76 @@ class TestVerifyCommand:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+DEFAULT_GRID_CSV = (
+    "kind,theorem,n_min,n_max,a_min,a_max,checked,failure_count,elapsed_s,notes,"
+    "n,a,observed,expected\n"
+    "report,lemma_n_div,1,200,2,20,3800,0,0.0,[],,,,\n"
+    "report,theorem1,1,200,2,20,3800,0,0.0,[],,,,\n"
+    'report,theorem2,2,200,2,20,3781,0,0.0,'
+    '"[""n raised from 1 to 2 (theorem2 hypothesis)""]",,,,\n'
+    'report,corollary2,1,200,2,20,3790,0,0.0,'
+    '"[""even bases checked for n >= 2, odd bases for n >= 1""]",,,,\n'
+    'report,gcd_corollary,2,200,2,20,3781,0,0.0,'
+    '"[""n raised from 1 to 2 (gcd_corollary hypothesis)""]",,,,\n'
+    'report,odd_genocchi,2,200,,,100,0,0.0,'
+    '"[""n raised from 1 to 2 (odd_genocchi hypothesis)"", '
+    '""odd_genocchi does not range over a; a-range ignored""]",,,,\n'
+    'report,vsc_integrality,2,200,,,100,0,0.0,'
+    '"[""n raised from 1 to 2 (vsc_integrality hypothesis)"", '
+    '""vsc_integrality does not range over a; a-range ignored""]",,,,\n'
+    'report,prop1_idc,1,200,,,200,0,0.0,'
+    '"[""prop1_idc does not range over a; a-range ignored"", '
+    '""trial series of order 30""]",,,,\n'
+    "report,prop2_equiv,1,200,2,20,3800,0,0.0,[],,,,\n"
+)
+DEFAULT_GRID_JSON_SHA256 = "4f132add9178bf5331473e07cb819b4b14184f95b4f5d5ab56cf41ca3e8ad99d"
+
+# one mutated point per statement that takes a mutation, on n = 1..12,
+# a = 2..6: (statement, N,A) -> its (n, a, observed, expected) records
+MUTATION_FAILURES = {
+    ("lemma_n_div", "6,4"): [[6, 4, "a^(n-1)*G = 4 (mod 6) with G = -98", "0 (mod 6)"]],
+    ("theorem1", "10,3"): [[10, 3, "G = -6709 = 1 (mod 10)", "0 (mod 10)"]],
+    ("theorem2", "5,4"): [[5, 4, "num(G - (1 - n*a/2)) = -15", "0 (mod 4)"]],
+    # n*a odd: G - (1 - n*a/2) is a half-integer
+    ("theorem2", "3,3"): [[3, 3, "num(G - (1 - n*a/2)) = 11", "0 (mod 3)"]],
+    ("corollary2", "7,6"): [[7, 6, "G = 5 (mod 6)", "4 (mod 6)"]],
+    ("gcd_corollary", "6,6"): [
+        [6, 6, "gcd(G, a) = 2 with G = -574", "1, or 2 exactly when a = 2 (mod 4) and n is odd"]
+    ],
+    ("odd_genocchi", "8,2"): [[8, None, "G_8 = 18", "an odd integer"]],
+    ("prop2_equiv", "10,5"): [
+        [10, 5, "series route -512023, Bernoulli route -512024", "exact equality"]
+    ],
+}
+
+
+class TestByteGate:
+    """What every change keeps: `verify all` on the default grid writes these
+    bytes once elapsed_s reads 0.0, and a mutated run writes these failures
+    and exits 1."""
+
+    def test_verify_all_on_the_default_grid(self, capsys, tmp_path, monkeypatch):
+        def untimed(*args, **kwargs):
+            return replace(run_grid(*args, **kwargs), elapsed_s=0.0)
+
+        monkeypatch.setattr(cli, "run_grid", untimed)
+        cache = str(tmp_path / "b.json")
+        code, out, _ = run_cli(capsys, "verify", "all", "--cache-path", cache)
+        assert code == 0 and out == DEFAULT_GRID_CSV
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "json", "--cache-path", cache)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_GRID_JSON_SHA256
+
+    @pytest.mark.parametrize("statement,mutate", list(MUTATION_FAILURES))
+    def test_one_mutation_per_statement(self, capsys, tmp_path, statement, mutate):
+        code, out, _ = run_cli(
+            capsys, "verify", statement, "--n-max", "12", "--a-max", "6", "--mutate", mutate,
+            "--format", "json", "--cache-path", str(tmp_path / "b.json"),
+        )
+        failures = [list(f.values()) for f in json.loads(out)[0]["failures"]]
+        assert code == 1 and failures == MUTATION_FAILURES[statement, mutate]
 
 
 class TestValuesPastTheDigitLimit:

@@ -45,14 +45,12 @@ class TestPointChecks:
         assert not check_theorem1(6, 3, g + 1)
 
     def test_theorem2_judgment(self):
-        j = check_theorem2(6, 3)
-        assert j.holds and j.modulus == 3
-        assert not check_theorem2(2, 3, g=-1).holds
+        assert check_theorem2(6, 3) is True
+        assert check_theorem2(2, 3, g=-1) is False
 
     def test_theorem2_odd_times_odd(self):
         # n and a both odd puts a denominator of 2 into the target residue
-        j = check_theorem2(3, 3)
-        assert j.holds
+        assert check_theorem2(3, 3)
 
     def test_corollary2_residues(self):
         assert check_corollary2(4, 7)   # odd a: 1 mod a
@@ -100,7 +98,7 @@ class TestPointChecks:
 POINT_CHECKS = {
     TheoremId.LEMMA_N_DIV: check_lemma_n_divides,
     TheoremId.THEOREM1: check_theorem1,
-    TheoremId.THEOREM2: lambda n, a, g: check_theorem2(n, a, g).holds,
+    TheoremId.THEOREM2: check_theorem2,
     TheoremId.COROLLARY2: check_corollary2,
     TheoremId.GCD_COROLLARY: check_gcd_corollary,
     TheoremId.ODD_GENOCCHI: lambda n, a, g: check_even_genocchi_odd(n, g),
