@@ -5,10 +5,8 @@ from .exact import (
     ConsistencyError,
     congruent_mod,
     coprime_part,
-    den,
     factorize,
     is_prime,
-    num,
 )
 from .series import (
     EgfSeries,
@@ -22,9 +20,7 @@ from .special import (
     bernoulli_table,
     check_valuation_bound,
     gen_genocchi_bernoulli,
-    gen_genocchi_egf,
     gen_genocchi_table,
-    genocchi,
     genocchi_table,
     von_staudt_clausen_sum,
 )
@@ -32,12 +28,7 @@ from .verify import (
     GridFailure,
     TheoremId,
     VerificationReport,
-    check_corollary2,
-    check_even_genocchi_odd,
-    check_gcd_corollary,
-    check_lemma_n_divides,
-    check_theorem1,
-    check_theorem2,
+    holds,
     run_grid,
 )
 from .cache import (
@@ -60,28 +51,19 @@ __all__ = [
     "TheoremId",
     "VerificationReport",
     "bernoulli_table",
-    "check_corollary2",
-    "check_even_genocchi_odd",
-    "check_gcd_corollary",
-    "check_lemma_n_divides",
-    "check_theorem1",
-    "check_theorem2",
     "check_valuation_bound",
     "congruent_mod",
     "coprime_part",
-    "den",
     "exp_sum_series",
     "factorize",
     "gen_genocchi_bernoulli",
-    "gen_genocchi_egf",
     "gen_genocchi_table",
-    "genocchi",
     "genocchi_table",
     "get_or_build",
+    "holds",
     "idc_reciprocal_scaled",
     "is_prime",
     "load_bernoulli_cache",
-    "num",
     "run_grid",
     "save_bernoulli_cache",
     "series_mul",

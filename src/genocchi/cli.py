@@ -6,8 +6,9 @@ diagnostics go to stderr. In JSON output every number that can grow
 without bound is a decimal string, never a native number, so output
 survives parsers with 53-bit integers. Exit codes: 0 success, 1 at
 least one verification failure, 2 usage, configuration or cache error,
-or output that cannot be written (quietly when the reader closed the
-pipe), 3 an internal cross-check failed (a bug, never a counterexample).
+a --mutate bump the statement cannot detect, or output that cannot be
+written (quietly when the reader closed the pipe), 3 an internal
+cross-check failed (a bug, never a counterexample).
 """
 
 from __future__ import annotations
@@ -214,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern = sub.add_parser("bernoulli", help="emit B_0..B_n as exact rationals")
     p_bern.add_argument("--n-max", type=int, required=True, help="largest index to emit")
     p_bern.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bern.add_argument(
-        "--cache-path",
-        type=Path,
-        default=None,
-        help="Bernoulli cache file (default: $GENOCCHI_CACHE or ~/.cache/genocchi/bernoulli.json)",
-    )
     p_bern.set_defaults(func=cmd_bernoulli)
 
     p_gen = sub.add_parser("genocchi", help="emit G_{n,a} for n = 0..n-max")
@@ -246,13 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-test: bump one table value and expect a failure",
     )
     p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ver.add_argument(
-        "--cache-path",
-        type=Path,
-        default=None,
-        help="Bernoulli cache file (default: $GENOCCHI_CACHE or ~/.cache/genocchi/bernoulli.json)",
-    )
     p_ver.set_defaults(func=cmd_verify)
+
+    # the two subcommands that read the Bernoulli cache; last, as --help lists it
+    for p in (p_bern, p_ver):
+        p.add_argument(
+            "--cache-path",
+            type=Path,
+            default=None,
+            help="Bernoulli cache file (default: $GENOCCHI_CACHE or "
+            "~/.cache/genocchi/bernoulli.json)",
+        )
     return parser
 
 

@@ -1,12 +1,13 @@
-"""Exact arithmetic primitives: normalized rationals, factorization,
-coprime parts, and congruences extended to Q.
+"""Exact arithmetic primitives: factorization, coprime parts, and
+congruences extended to Q.
 
-A rational x is always kept in lowest terms with a positive denominator,
-so den(x) is the smallest positive integer d with d*x an integer and
-num(x) = d*x carries the sign. On top of that convention the congruence
-x = y (mod m) extends from Z to Q: it holds iff m divides num(x - y).
-The equivalent definition by valuations, nu_p(x - y) >= nu_p(m) at every
-prime p dividing m, is the one the tests check it against.
+A Fraction x is always kept in lowest terms with a positive denominator,
+so x.denominator is the smallest positive integer d with d*x an integer
+and x.numerator = d*x carries the sign. On top of that convention the
+congruence x = y (mod m) extends from Z to Q: it holds iff m divides the
+numerator of x - y. The equivalent definition by valuations,
+nu_p(x - y) >= nu_p(m) at every prime p dividing m, is the one the tests
+check it against.
 
 Factorization is trial division with nothing precomputed, and primality is
 read from it. A part left after trial division by every d with d*d <= it
@@ -18,6 +19,7 @@ left of it is at least (10^6 + 1)^2 and has no divisor up to the bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 TRIAL_DIVISION_BOUND = 10**6
 
@@ -25,16 +27,6 @@ TRIAL_DIVISION_BOUND = 10**6
 class ConsistencyError(AssertionError):
     """An internal cross-check failed; this signals an implementation bug,
     never bad user input."""
-
-
-def num(x) -> int:
-    """Numerator of x in lowest terms; the sign lives here."""
-    return Fraction(x).numerator
-
-
-def den(x) -> int:
-    """Smallest positive integer d with d*x an integer."""
-    return Fraction(x).denominator
 
 
 def is_prime(n: int) -> bool:
@@ -87,15 +79,14 @@ def coprime_part(n: int, a: int) -> int:
     is the odd part of n."""
     if n < 1 or a < 1:
         raise ValueError(f"coprime_part needs positive integers, got n={n}, a={a}")
-    out = 1
-    for p, e in factorize(n):
-        if a % p != 0:
-            out *= p**e
-    return out
+    # each pass divides out gcd(n, a), which has every prime of a left in n
+    while (g := gcd(n, a)) > 1:
+        n //= g
+    return n
 
 
 def congruent_mod(x, y, m: int) -> bool:
-    """Decide x = y (mod m) over Q: whether m divides num(x - y)."""
+    """Decide x = y (mod m) over Q: whether m divides the numerator of x - y."""
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
     return (Fraction(x) - Fraction(y)).numerator % m == 0

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 
-from .exact import ConsistencyError, den, factorize, is_prime
+from .exact import ConsistencyError, factorize, is_prime
 from .series import EgfSeries, exp_sum_series, series_mul, series_reciprocal
 
 
@@ -107,11 +107,6 @@ def genocchi_table(n_max: int) -> list[int]:
     return gen_genocchi_table(2, n_max)
 
 
-def genocchi(n: int) -> int:
-    """The n-th Genocchi number."""
-    return genocchi_table(n)[n]
-
-
 def gen_genocchi_table(a: int, n_max: int) -> list[int]:
     """G_{0,a}..G_{n_max,a} from a*t / (1 + e^t + ... + e^{(a-1)t}), truncated
     at order n_max, since coefficient n depends only on the first n + 1 terms.
@@ -132,11 +127,6 @@ def gen_genocchi_table(a: int, n_max: int) -> list[int]:
             )
         values.append(c.numerator)
     return values
-
-
-def gen_genocchi_egf(n: int, a: int) -> int:
-    """G_{n,a} by the generating-function route."""
-    return gen_genocchi_table(a, n)[n]
 
 
 def gen_genocchi_bernoulli(n: int, a: int, table: BernoulliTable) -> Fraction:
@@ -180,11 +170,12 @@ def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:
 
 
 def check_valuation_bound(n: int, table: BernoulliTable) -> bool:
-    """Whether nu_p(B_n) >= -1 at every prime p, that is, whether den(B_n)
-    is squarefree. B_n is in lowest terms, so nu_p(B_n) = -e for each prime
-    power p^e exactly dividing den(B_n), and nu_p(B_n) >= 0 at every other p."""
+    """Whether nu_p(B_n) >= -1 at every prime p, that is, whether the
+    denominator D of B_n is squarefree. B_n is in lowest terms, so
+    nu_p(B_n) = -e for each prime power p^e exactly dividing D, and
+    nu_p(B_n) >= 0 at every other p."""
     if table.max_index < n:
         raise ValueError(
             f"Bernoulli table covers indices up to {table.max_index}, need {n}"
         )
-    return all(e == 1 for _, e in factorize(den(table.values[n])))
+    return all(e == 1 for _, e in factorize(table.values[n].denominator))

@@ -3,9 +3,9 @@ numbers, with exact counterexample capture.
 
 Every claim is checked with integer or rational arithmetic only; a grid
 run either reports zero failures or pins each failing point with the
-observed and expected values. A mutation mode perturbs a single table
-value on purpose, so the harness can demonstrate that it is capable of
-rejecting a false statement.
+observed and expected values. `holds` checks one point by the same
+record. A mutation mode perturbs a single table value on purpose, so the
+harness can demonstrate that it is capable of rejecting a false statement.
 """
 
 from __future__ import annotations
@@ -77,54 +77,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def check_lemma_n_divides(n: int, a: int, g: int | None = None) -> bool:
-    """n divides a^(n-1) * G_{n,a}."""
-    return _holds(TheoremId.LEMMA_N_DIV, n, a, g)
-
-
-def check_theorem1(n: int, a: int, g: int | None = None) -> bool:
-    """The greatest divisor of n coprime with a divides G_{n,a}."""
-    return _holds(TheoremId.THEOREM1, n, a, g)
-
-
-def check_theorem2(n: int, a: int, g: int | None = None) -> bool:
-    """G_{n,a} = 1 - (n/2)*a (mod a), as a congruence over Q."""
-    return _holds(TheoremId.THEOREM2, n, a, g)
-
-
-def check_corollary2(n: int, a: int, g: int | None = None) -> bool:
-    """The residue of G_{n,a} mod a, split by the parities of a and n."""
-    return _holds(TheoremId.COROLLARY2, n, a, g)
-
-
-def check_gcd_corollary(n: int, a: int, g: int | None = None) -> bool:
-    """gcd(G_{n,a}, a) is 1 or 2, and is 2 exactly when a = 2 (mod 4) and
-    n is odd."""
-    return _holds(TheoremId.GCD_COROLLARY, n, a, g)
-
-
-def check_even_genocchi_odd(n: int, g: int | None = None) -> bool:
-    """G_n is an odd integer for even n >= 2."""
-    return _holds(TheoremId.ODD_GENOCCHI, n, None, g)
-
-
-def _point_value(theorem: TheoremId, n: int, a: int | None, g: int | None) -> int:
-    """g, or G at (n, a) by the series route when g is None. A point that
-    the statement's record does not check raises ValueError."""
-    statement = STATEMENTS[theorem]
-    if a is not None and a < 2:
-        raise ValueError(f"base must satisfy a >= 2, got {a}")
-    if n not in statement.n_values(a, statement.min_n, n):
-        where = f"n = {n}" if a is None else f"n = {n}, a = {a}"
-        raise ValueError(f"{theorem.value} is not stated at {where}")
-    return _column(a, n)[n] if g is None else g
-
-
-def _holds(theorem: TheoremId, n: int, a: int | None, g: int | None) -> bool:
-    g = _point_value(theorem, n, a, g)
-    return not any(STATEMENTS[theorem].describe(n, a, g, None, None))
 
 
 def _prop1_trial_series(trial: int, order: int) -> EgfSeries:
@@ -268,6 +220,30 @@ STATEMENTS: dict[TheoremId, Statement] = {
 }
 
 
+def holds(theorem: TheoremId, n: int, a: int | None = None, g: int | None = None) -> bool:
+    """Whether the statement holds at (n, a) for the value g, or for G at
+    (n, a) by the series route when g is None. a is the base, and is given
+    exactly when the statement ranges over bases. A statement without a
+    table, or a point that its record does not check, raises ValueError."""
+    statement = STATEMENTS[theorem]
+    if not statement.table:
+        raise ValueError(f"{theorem.value} has no table value to check at a point")
+    if statement.over_a != (a is not None):
+        verb = "needs a base a" if statement.over_a else "takes no base a"
+        raise ValueError(f"{theorem.value} {verb}")
+    if a is not None and a < 2:
+        raise ValueError(f"base must satisfy a >= 2, got {a}")
+    if n not in statement.n_values(a, statement.min_n, n):
+        where = f"n = {n}" if a is None else f"n = {n}, a = {a}"
+        raise ValueError(f"{theorem.value} is not stated at {where}")
+    if g is None:
+        g = _column(a, n)[n]
+    bern = None
+    if statement.bernoulli_offset is not None:
+        bern = bernoulli_table(n + statement.bernoulli_offset)
+    return not any(statement.describe(n, a, g, bern, None))
+
+
 def _evaluate_column(task) -> tuple[int, list[GridFailure], list[int] | None]:
     """Check every n of one column. Shaped as a single-argument callable so
     it can run under a process pool. The task carries the column when one
@@ -308,7 +284,8 @@ def run_grid(
 
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
-    one table value by 1 before checking, to prove the harness can fail.
+    one table value by 1 before checking, to prove the harness can fail; a
+    bump the statement cannot detect at (n, a) is an error.
     `order` sizes prop1_idc's trial series (default 30, below 1 an error),
     and prop1_idc notes the order used; other statements have none and note
     that they ignore it. The columns run on at most `jobs` worker processes,
@@ -387,6 +364,18 @@ def run_grid(
 
     if columns is None:
         columns = {}
+    if mutate is not None:
+        # a bump the statement cannot see would pass the self-test silently;
+        # the unmutated column is kept, so the grid does not build it again
+        column = columns.get((ma, n_hi))
+        if column is None:
+            column = columns[(ma, n_hi)] = _column(ma, n_hi)
+        at = ma if statement.over_a else None
+        if not any(statement.describe(mn, at, column[mn] + 1, bern, order)):
+            raise ValueError(
+                f"mutation at (n={mn}, a={ma}) is invisible to {theorem.value}: "
+                "G + 1 still satisfies it"
+            )
     tasks = [
         (statement, a, n_lo, n_hi, order, mutate, bern, columns.get((_base(a), n_hi)))
         for a in bases

@@ -403,6 +403,15 @@ class TestVerifyCommand:
         )
         assert code == 2 and "outside" in err
 
+    def test_invisible_mutation_exits_two(self, capsys):
+        # G_{4,3} = 1 (mod 3) bumps to 2, still coprime with 3
+        code, out, err = run_cli(
+            capsys, "verify", "gcd_corollary", "--n-max", "10", "--a-max", "6",
+            "--mutate", "4,3",
+        )
+        assert (code, out) == (2, "")
+        assert "mutation at (n=4, a=3) is invisible to gcd_corollary" in err
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert run_cli(capsys)[0] == 2
 

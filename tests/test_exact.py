@@ -1,4 +1,4 @@
-"""Rational normalization, factorization, coprime parts, and congruences."""
+"""Factorization, coprime parts, and congruences over Q."""
 
 import random
 from fractions import Fraction
@@ -10,40 +10,10 @@ from hypothesis import given, strategies as st
 from genocchi.exact import (
     congruent_mod,
     coprime_part,
-    den,
     factorize,
     is_prime,
-    num,
 )
 from oracles import FACTORIZE_FROZEN, primes_by_trial, trial_factor, valuation
-
-
-class TestNumDen:
-    def test_examples(self):
-        assert (num(Fraction(6, 4)), den(Fraction(6, 4))) == (3, 2)
-        assert (num(Fraction(-6, 4)), den(Fraction(-6, 4))) == (-3, 2)
-        assert (num(Fraction(5)), den(Fraction(5))) == (5, 1)
-        assert (num(0), den(0)) == (0, 1)
-
-    def test_sign_lives_in_numerator(self):
-        x = Fraction(3, -7)
-        assert num(x) == -3 and den(x) == 7
-
-    def test_den_is_smallest_positive_multiplier(self):
-        for x in [Fraction(3, 8), Fraction(-5, 12), Fraction(7), Fraction(0), Fraction(22, 6)]:
-            d = den(x)
-            assert (d * x).denominator == 1
-            for smaller in range(1, d):
-                assert (smaller * x).denominator != 1
-
-    @given(
-        st.integers(-1000, 1000),
-        st.integers(1, 1000),
-        st.integers(1, 60),
-    )
-    def test_normalization_idempotent(self, p, q, k):
-        assert Fraction(k * p, k * q) == Fraction(p, q)
-        assert gcd(num(Fraction(p, q)), den(Fraction(p, q))) == 1
 
 
 class TestFactorize:
@@ -127,6 +97,17 @@ class TestCoprimePart:
         with pytest.raises(ValueError):
             coprime_part(3, 0)
 
+    def test_matches_trial_factor_oracle(self):
+        # the product of n's prime powers whose prime does not divide a
+        for n in range(1, 1001):
+            fac = trial_factor(n)
+            for a in range(1, 61):
+                expected = 1
+                for p, e in fac:
+                    if a % p:
+                        expected *= p**e
+                assert coprime_part(n, a) == expected, (n, a)
+
     def test_characterization_on_grid(self):
         # coprime_part(n, a) divides n, is coprime with a, and the cofactor
         # carries only primes of a
@@ -205,5 +186,5 @@ class TestCongruence:
         # squares are not, so multiplication of congruences is not available
         x, y, m = Fraction(1, 3), Fraction(10, 3), 3
         assert congruent_mod(x, y, m)
-        assert num(x * x - y * y) == -11
+        assert (x * x - y * y).numerator == -11
         assert not congruent_mod(x * x, y * y, m)

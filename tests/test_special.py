@@ -6,15 +6,13 @@ from fractions import Fraction
 import pytest
 
 from genocchi import special
-from genocchi.exact import ConsistencyError, den, factorize, is_prime
+from genocchi.exact import ConsistencyError, factorize, is_prime
 from genocchi.special import (
     BernoulliTable,
     bernoulli_table,
     check_valuation_bound,
     gen_genocchi_bernoulli,
-    gen_genocchi_egf,
     gen_genocchi_table,
-    genocchi,
     genocchi_table,
     von_staudt_clausen_sum,
 )
@@ -100,10 +98,10 @@ class TestGenocchi:
         assert genocchi_table(14) == GENOCCHI_FROZEN
 
     def test_single_values(self):
-        assert genocchi(8) == 17
-        assert genocchi(12) == 2073
-        assert genocchi(0) == 0
-        assert genocchi(1) == 1
+        assert genocchi_table(8)[8] == 17
+        assert genocchi_table(12)[12] == 2073
+        assert genocchi_table(0)[0] == 0
+        assert genocchi_table(1)[1] == 1
 
     def test_matches_ordinary_route(self):
         assert genocchi_table(40) == genocchi_by_ordinary(40)
@@ -158,8 +156,8 @@ class TestGenGenocchi:
             assert table[2] == 1 - a
 
     def test_single_value(self):
-        assert gen_genocchi_egf(6, 3) == -26
-        assert gen_genocchi_egf(3, 6) == 10
+        assert gen_genocchi_table(3, 6)[6] == -26
+        assert gen_genocchi_table(6, 3)[3] == 10
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -214,9 +212,9 @@ class TestVonStaudtClausen:
             assert von_staudt_clausen_sum(n, bern64).denominator == 1
 
     def test_denominator_is_product_of_matching_primes(self, bern64):
-        # den(B_n) = product of the primes p with (p-1) | n, squarefree
+        # the denominator of B_n = product of the primes p with (p-1) | n, squarefree
         for n in range(2, 65, 2):
-            d = den(bern64[n])
+            d = bern64[n].denominator
             expected = 1
             for p in range(2, n + 2):
                 if is_prime(p) and n % (p - 1) == 0:

@@ -10,22 +10,12 @@ from genocchi import verify
 
 from genocchi.exact import coprime_part
 from genocchi.series import EgfSeries, idc_reciprocal_scaled
-from genocchi.special import (
-    bernoulli_table,
-    gen_genocchi_egf,
-    gen_genocchi_table,
-    genocchi_table,
-)
+from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import (
     STATEMENTS,
     GridFailure,
     TheoremId,
-    check_corollary2,
-    check_even_genocchi_odd,
-    check_gcd_corollary,
-    check_lemma_n_divides,
-    check_theorem1,
-    check_theorem2,
+    holds,
     run_grid,
     _prop1_trial_series,
 )
@@ -34,81 +24,83 @@ from genocchi.verify import (
 class TestPointChecks:
     def test_lemma_and_theorem1_hold_at_spots(self):
         for n, a in [(1, 2), (6, 3), (12, 10), (30, 6), (49, 7)]:
-            assert check_lemma_n_divides(n, a)
-            assert check_theorem1(n, a)
+            assert holds(TheoremId.LEMMA_N_DIV, n, a)
+            assert holds(TheoremId.THEOREM1, n, a)
 
     def test_theorem1_uses_precomputed_value(self):
-        g = gen_genocchi_egf(6, 3)
-        assert check_theorem1(6, 3, g)
+        g = gen_genocchi_table(3, 6)[6]
+        assert holds(TheoremId.THEOREM1, 6, 3, g)
         # a wrong value for a point with a nontrivial coprime part must fail
         assert coprime_part(6, 3) == 2
-        assert not check_theorem1(6, 3, g + 1)
+        assert not holds(TheoremId.THEOREM1, 6, 3, g + 1)
 
     def test_theorem2_judgment(self):
-        assert check_theorem2(6, 3) is True
-        assert check_theorem2(2, 3, g=-1) is False
+        assert holds(TheoremId.THEOREM2, 6, 3) is True
+        assert holds(TheoremId.THEOREM2, 2, 3, g=-1) is False
 
     def test_theorem2_odd_times_odd(self):
         # n and a both odd puts a denominator of 2 into the target residue
-        assert check_theorem2(3, 3)
+        assert holds(TheoremId.THEOREM2, 3, 3)
 
     def test_corollary2_residues(self):
-        assert check_corollary2(4, 7)   # odd a: 1 mod a
-        assert check_corollary2(1, 7)   # odd a admits n = 1
-        assert check_corollary2(4, 6)   # even a, even n: 1 mod a
-        assert check_corollary2(5, 6)   # even a, odd n: 1 + a/2 mod a
-        assert not check_corollary2(5, 6, g=1)
+        assert holds(TheoremId.COROLLARY2, 4, 7)   # odd a: 1 mod a
+        assert holds(TheoremId.COROLLARY2, 1, 7)   # odd a admits n = 1
+        assert holds(TheoremId.COROLLARY2, 4, 6)   # even a, even n: 1 mod a
+        assert holds(TheoremId.COROLLARY2, 5, 6)   # even a, odd n: 1 + a/2 mod a
+        assert not holds(TheoremId.COROLLARY2, 5, 6, g=1)
 
     def test_gcd_corollary_spots(self):
-        assert check_gcd_corollary(3, 6)   # a = 2 mod 4, odd n: gcd 2
-        assert check_gcd_corollary(4, 6)   # even n: gcd 1
-        assert check_gcd_corollary(5, 4)   # a = 0 mod 4: gcd 1
-        assert not check_gcd_corollary(5, 4, g=-24)  # gcd 4 is out
+        assert holds(TheoremId.GCD_COROLLARY, 3, 6)   # a = 2 mod 4, odd n: gcd 2
+        assert holds(TheoremId.GCD_COROLLARY, 4, 6)   # even n: gcd 1
+        assert holds(TheoremId.GCD_COROLLARY, 5, 4)   # a = 0 mod 4: gcd 1
+        assert not holds(TheoremId.GCD_COROLLARY, 5, 4, g=-24)  # gcd 4 is out
 
     def test_gcd_corollary_with_vanishing_values(self):
         # classical odd-index values vanish and gcd(0, 2) = 2 still fits the
         # characterization at a = 2
-        assert gen_genocchi_egf(3, 2) == 0
-        assert check_gcd_corollary(3, 2)
-        assert check_gcd_corollary(5, 2)
+        assert gen_genocchi_table(2, 3)[3] == 0
+        assert holds(TheoremId.GCD_COROLLARY, 3, 2)
+        assert holds(TheoremId.GCD_COROLLARY, 5, 2)
 
     def test_even_genocchi_odd(self):
-        assert check_even_genocchi_odd(8)
-        assert not check_even_genocchi_odd(8, g=18)
+        assert holds(TheoremId.ODD_GENOCCHI, 8)
+        assert not holds(TheoremId.ODD_GENOCCHI, 8, g=18)
 
     def test_hypothesis_bounds_enforced(self):
         with pytest.raises(ValueError):
-            check_lemma_n_divides(0, 3)
+            holds(TheoremId.LEMMA_N_DIV, 0, 3)
         with pytest.raises(ValueError):
-            check_theorem1(3, 1)
+            holds(TheoremId.THEOREM1, 3, 1)
         with pytest.raises(ValueError):
-            check_theorem2(1, 3)
+            holds(TheoremId.THEOREM2, 1, 3)
         with pytest.raises(ValueError):
-            check_corollary2(1, 6)  # even a starts at n = 2
+            holds(TheoremId.COROLLARY2, 1, 6)  # even a starts at n = 2
         with pytest.raises(ValueError):
-            check_gcd_corollary(1, 3)
+            holds(TheoremId.GCD_COROLLARY, 1, 3)
         with pytest.raises(ValueError):
-            check_even_genocchi_odd(7)
+            holds(TheoremId.ODD_GENOCCHI, 7)
         with pytest.raises(ValueError):
-            check_even_genocchi_odd(0)
+            holds(TheoremId.ODD_GENOCCHI, 0)
         with pytest.raises(ValueError):
-            check_corollary2(0, 7)  # odd a starts at n = 1
+            holds(TheoremId.COROLLARY2, 0, 7)  # odd a starts at n = 1
+
+    def test_points_outside_a_statement_rejected(self):
+        with pytest.raises(ValueError, match="takes no base"):
+            holds(TheoremId.ODD_GENOCCHI, 8, 2)
+        with pytest.raises(ValueError, match="needs a base"):
+            holds(TheoremId.THEOREM1, 6)
+        with pytest.raises(ValueError, match="no table"):
+            holds(TheoremId.VSC_INTEGRALITY, 4)
+        with pytest.raises(ValueError, match="no table"):
+            holds(TheoremId.PROP1_IDC, 4)
 
 
-POINT_CHECKS = {
-    TheoremId.LEMMA_N_DIV: check_lemma_n_divides,
-    TheoremId.THEOREM1: check_theorem1,
-    TheoremId.THEOREM2: check_theorem2,
-    TheoremId.COROLLARY2: check_corollary2,
-    TheoremId.GCD_COROLLARY: check_gcd_corollary,
-    TheoremId.ODD_GENOCCHI: lambda n, a, g: check_even_genocchi_odd(n, g),
-}
+MUTABLE = [t for t in TheoremId if STATEMENTS[t].table]
 
 
 class TestPointChecksAgreeWithGrid:
-    @pytest.mark.parametrize("theorem", list(POINT_CHECKS), ids=lambda t: t.value)
+    @pytest.mark.parametrize("theorem", MUTABLE, ids=lambda t: t.value)
     def test_check_fails_exactly_where_the_mutated_grid_fails(self, theorem):
-        check = POINT_CHECKS[theorem]
         statement = STATEMENTS[theorem]
         a_range = (2, 6) if statement.over_a else None
         columns = {}
@@ -117,12 +109,15 @@ class TestPointChecksAgreeWithGrid:
             column = genocchi_table(12) if a is None else gen_genocchi_table(a, 12)
             for n in statement.n_values(a, statement.min_n, 12):
                 points += 1
-                assert check(n, a, column[n]), (n, a)
-                mutated = run_grid(theorem, (1, 12), a_range, mutate=(n, a or 2), columns=columns)
-                failed_at = [(f.n, f.a) for f in mutated.failures]
-                assert failed_at in ([], [(n, a)]), (n, a)
-                assert check(n, a, column[n] + 1) == (not failed_at), (n, a)
-                caught += bool(failed_at)
+                assert holds(theorem, n, a, column[n]), (n, a)
+                target = (n, a or 2)
+                if holds(theorem, n, a, column[n] + 1):
+                    with pytest.raises(ValueError, match="invisible"):
+                        run_grid(theorem, (1, 12), a_range, mutate=target, columns=columns)
+                    continue
+                mutated = run_grid(theorem, (1, 12), a_range, mutate=target, columns=columns)
+                assert [(f.n, f.a) for f in mutated.failures] == [(n, a)]
+                caught += 1
         assert points == run_grid(theorem, (1, 12), a_range).checked
         assert caught > 0
 
