@@ -6,9 +6,10 @@ diagnostics go to stderr. In JSON output every number that can grow
 without bound is a decimal string, never a native number, so output
 survives parsers with 53-bit integers. Exit codes: 0 success, 1 at
 least one verification failure, 2 usage, configuration or cache error,
-a --mutate bump the statement cannot detect, or output that cannot be
-written (quietly when the reader closed the pipe), 3 an internal
-cross-check failed (a bug, never a counterexample).
+a --mutate bump the statement cannot detect, output that cannot be
+written (quietly when the reader closed the pipe), or running out of
+memory, 3 an internal cross-check failed or any other unexpected
+exception (a bug, never a counterexample; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -277,6 +278,17 @@ def main(argv=None) -> int:
         return 2
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory; try a smaller --n-max", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a crash is a bug, and must not pass for a counterexample (exit 1);
+        # traceback is imported here, so a normal run does not pay for it
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

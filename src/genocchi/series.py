@@ -9,11 +9,10 @@ closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
 again IDC whenever f is.
 
-series_reciprocal and idc_reciprocal_scaled share one clearing of
-denominators and one back-substitution in Python ints. With d the lcm of
-the denominators and a_k = d f_k, the reciprocal of f is that of a / d,
-whose coefficients satisfy r_0 = d / c and
-r_n = -(1/c) sum_{k=1..n} C(n,k) a_k r_{n-k} for c = a_0. The kernel
+series_reciprocal clears denominators and runs one back-substitution in
+Python ints. With d the lcm of the denominators and a_k = d f_k, the
+reciprocal of f is that of a / d, whose coefficients satisfy r_0 = d / c
+and r_n = -(1/c) sum_{k=1..n} C(n,k) a_k r_{n-k} for c = a_0. The kernel
 carries each r_n as p_n / c^e_n with an integer p_n and e_n as small as
 the recurrence allows: the sum for r_n runs over the integers
 p_m c^(top - e_m), every earlier r_m over one power c^top, and c is
@@ -23,14 +22,14 @@ Genocchi columns the largest e_n is 6 at (a, N) = (20, 1000) and 10 at
 (2, 1000), where a denominator c^(n+1) would put about n log2(c) more
 bits into every operand.
 
-idc_reciprocal_scaled hands the kernel the weights 1, a_1, a_2 c, ...,
-a_k c^(k-1) and d. Their constant term is 1, so every e_n is 0 and p_n
-is the integer s_n with s_0 = d and
-s_n = -sum_{k=1..n} C(n,k) a_k c^(k-1) s_{n-k}. Coefficient n of
-f_0 / f(f_0 t) is s_n / d^(n+1), so for IDC f, where d = 1, it is the
-integer s_n itself: that recurrence over the integers is the proof that
-f_0 / f(f_0 t) is IDC. Every series this package inverts is IDC, so d is
-1 there.
+idc_reciprocal_scaled takes the integer derivative values a_0..a_N of an
+IDC series f and hands the same kernel the weights 1, a_1, a_2 c, ...,
+a_k c^(k-1) with c = a_0. Their constant term is 1, so every e_n is 0
+and p_n is the integer s_n with s_0 = 1 and
+s_n = -sum_{k=1..n} C(n,k) a_k c^(k-1) s_{n-k}: coefficient n of
+a_0 / f(a_0 t) is s_n, and that recurrence over the integers is the
+proof that a_0 / f(a_0 t) is IDC. It takes and returns ints only, with
+no Fraction on either side.
 """
 
 from __future__ import annotations
@@ -166,24 +165,19 @@ def exp_sum_series(a: int, order: int) -> EgfSeries:
     return EgfSeries(tuple(coeffs))
 
 
-def idc_reciprocal_scaled(f: EgfSeries) -> EgfSeries:
-    """The series of a_0 / f(a_0 t) where a_0 = f(0) != 0: coefficient n is
-    s_n / d^(n+1) (see the module docstring). When f is IDC, d = 1 and
-    s_n = -sum_{k=1..n} C(n,k) f_k a_0^(k-1) s_{n-k} is a recurrence over
-    the integers, so the result is IDC as well."""
-    if f.coeffs[0] == 0:
+def idc_reciprocal_scaled(coeffs: list[int]) -> list[int]:
+    """The integers s_0..s_N of a_0 / f(a_0 t), for the IDC series f with
+    derivative values a_0..a_N and a_0 != 0: s_0 = 1 and
+    s_n = -sum_{k=1..n} C(n,k) a_k a_0^(k-1) s_{n-k} (see the module
+    docstring)."""
+    if not all(type(a_k) is int for a_k in coeffs):
+        raise ValueError("idc_reciprocal_scaled needs int coefficients")
+    if not coeffs or coeffs[0] == 0:
         raise ValueError("idc_reciprocal_scaled needs a nonzero constant term")
-    a, d = _cleared(f)
-    c = a[0]
+    c = coeffs[0]
     weights = [1]  # 1, a_1, a_2 c, ..., a_k c^(k-1)
     power = 1
-    for a_k in a[1:]:
+    for a_k in coeffs[1:]:
         weights.append(a_k * power)
         power *= c
-    s, _ = _back_substitute(weights, d)
-    out = []
-    denom = 1
-    for s_n in s:
-        denom *= d
-        out.append(Fraction(s_n, denom))
-    return EgfSeries(tuple(out))
+    return _back_substitute(weights, 1)[0]

@@ -20,7 +20,7 @@ from math import gcd
 from time import perf_counter
 
 from .exact import congruent_mod, coprime_part
-from .series import EgfSeries, idc_reciprocal_scaled
+from .series import idc_reciprocal_scaled
 from .special import (
     BernoulliTable,
     bernoulli_table,
@@ -79,13 +79,12 @@ class VerificationReport:
         return not self.failures
 
 
-def _prop1_trial_series(trial: int, order: int) -> EgfSeries:
+def _prop1_trial_series(trial: int, order: int) -> list[int]:
+    """The derivative values a_0..a_order of one random IDC series."""
     # deterministic per trial: the trial index seeds the generator
     rng = random.Random(trial)
     lo, hi = PROP1_COEFF_RANGE
-    coeffs = [rng.randint(*PROP1_CONSTANT_RANGE)]
-    coeffs += [rng.randint(lo, hi) for _ in range(order)]
-    return EgfSeries(tuple(Fraction(c) for c in coeffs))
+    return [rng.randint(*PROP1_CONSTANT_RANGE), *(rng.randint(lo, hi) for _ in range(order))]
 
 
 # A statement's table, and the ways a point fails. These reach package
@@ -154,7 +153,7 @@ def _vsc_integrality_failures(n, a, g, bern, order):
 def _prop1_idc_failures(n, a, g, bern, order):
     # n is the trial index; run_grid has resolved the order
     h = idc_reciprocal_scaled(_prop1_trial_series(n, order))
-    if any(h_k.denominator != 1 for h_k in h.coeffs):
+    if any(h_k.denominator != 1 for h_k in h):
         yield (
             f"scaled reciprocal left the integers (trial {n})",
             f"integer coefficients through order {order}",

@@ -118,6 +118,14 @@ def primes_by_trial(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if trial_factor(n) == [(n, 1)]]
 
 
+def scaled_reciprocal_by_ordinary(a: list[int]) -> list[Fraction]:
+    """Derivative values of a_0 / f(a_0 t) for f with derivative values a,
+    by the ordinary reciprocal of the scaled series."""
+    a0 = a[0]
+    reciprocal = ordinary_reciprocal(ordinary_from_diffs(scale_arg(a, a0)))
+    return [a0 * c for c in diffs_from_ordinary(reciprocal)]
+
+
 def coeffwise_add(c: list[Fraction], d: list[Fraction]) -> list[Fraction]:
     """Sum of two coefficient lists of the same length, in either basis."""
     return [x + y for x, y in zip(c, d, strict=True)]

@@ -301,6 +301,30 @@ class TestGenocchiCommand:
             assert out == "" and "internal error" in err and fragment in err, argv
         assert not (tmp_path / "b.json").exists()
 
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, tmp_path):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "get_or_build", exhausted)
+        cache = str(tmp_path / "b.json")
+        for argv in (
+            ["bernoulli", "--n-max", "10", "--cache-path", cache],
+            ["verify", "vsc_integrality", "--n-max", "10", "--cache-path", cache],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and err.startswith("error: out of memory"), argv
+
+    def test_unexpected_exception_exits_three_with_traceback(self, capsys, monkeypatch):
+        def crash(*args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "gen_genocchi_table", crash)
+        code, out, err = run_cli(capsys, "genocchi", "--n-max", "4")
+        assert code == 3
+        assert out == "" and "Traceback" in err
+        assert err.splitlines()[-1] == "internal error: TypeError: unsupported operand"
+
 
 class TestVerifyCommand:
     def test_clean_run_exits_zero(self, capsys):
