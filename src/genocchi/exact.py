@@ -86,7 +86,10 @@ def coprime_part(n: int, a: int) -> int:
 
 
 def congruent_mod(x, y, m: int) -> bool:
-    """Decide x = y (mod m) over Q: whether m divides the numerator of x - y."""
+    """Decide x = y (mod m) over Q: whether m divides the numerator of x - y.
+    Two ints are decided in the integers, without building a Fraction."""
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
+    if type(x) is int and type(y) is int:
+        return (x - y) % m == 0
     return (Fraction(x) - Fraction(y)).numerator % m == 0

@@ -13,17 +13,20 @@ Conventions, fixed by the generating functions used here:
   a*t / (1 + e^t + ... + e^{(a-1)t}) G_{n,a}
 
 G_{n,2} = G_n, and G_{0,a} = 0 for every a because of the factor t in the
-numerator. The second route expresses G_{n,a} for n >= 1 as the Bernoulli
-sum  sum_{k<n} C(n,k) B_k a^k, which must agree exactly with the series
-route; that equivalence is one of the verified properties, not assumed.
+numerator. The second route expresses G_{n,a} as the Bernoulli sum
+sum_{k<n} C(n,k) B_k a^k. A whole column of it is one binomial transform:
+with u_k = B_k a^k, sum_{k<=n} C(n,k) u_k is the first entry of the n-th
+row of pairwise sums of u, and G_{n,a} is that entry less u_n. The column
+must agree exactly with the series route; that equivalence is one of the
+verified properties, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, lcm
+from math import lcm
+from operator import add
 
 from .exact import ConsistencyError, factorize, is_prime
 from .series import EgfSeries, exp_sum_series, series_mul, series_reciprocal
@@ -56,13 +59,6 @@ class BernoulliTable:
 
     def __getitem__(self, n: int) -> Fraction:
         return self.values[n]
-
-    @cached_property
-    def _over_common_denominator(self) -> tuple[int, tuple[int, ...]]:
-        """(D, (B_0 D, ..., B_max_index D)) for D the lcm of this table's own
-        denominators, so sums over the table can run in integers."""
-        d = lcm(*(v.denominator for v in self.values))
-        return d, tuple(v.numerator * (d // v.denominator) for v in self.values)
 
 
 def _tangent_bernoulli(max_index: int) -> list[Fraction]:
@@ -129,28 +125,33 @@ def gen_genocchi_table(a: int, n_max: int) -> list[int]:
     return values
 
 
-def gen_genocchi_bernoulli(n: int, a: int, table: BernoulliTable) -> Fraction:
-    """G_{n,a} by the Bernoulli-sum route: sum_{k<n} C(n,k) B_k a^k for
-    n >= 1. The result is a Fraction on purpose; its integrality is part of
-    what gets verified against the generating-function route. The sum runs
-    over the integers B_k D, D the common denominator of the table, and is
-    divided by D once at the end."""
-    if n < 1:
-        raise ValueError(f"the Bernoulli-sum route needs n >= 1, got {n}")
+def gen_genocchi_bernoulli(a: int, n_max: int, table: BernoulliTable) -> list[int | Fraction]:
+    """G_{0,a}..G_{n_max,a} by the Bernoulli-sum route over B_0..B_{n_max-1}.
+
+    With D the lcm of their denominators and u_k = (B_k D) a^k, an integer,
+    D G_{n,a} = sum_{k<=n} C(n,k) u_k - u_n. Row n of repeated pairwise sums
+    of u starts with that binomial-transform sum, so the column costs
+    additions only; u_{n_max}, which enters row n_max once and is taken away
+    again, is padded with 0. An entry that D does not divide stays a
+    Fraction: its integrality is part of what gets verified against the
+    series route."""
     if a < 2:
         raise ValueError(f"base must satisfy a >= 2, got {a}")
-    if table.max_index < n - 1:
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if table.max_index < n_max - 1:
         raise ValueError(
-            f"Bernoulli table covers indices up to {table.max_index}, need {n - 1}"
+            f"Bernoulli table covers indices up to {table.max_index}, need {n_max - 1}"
         )
-    d, scaled = table._over_common_denominator
-    acc = 0
-    power = 1
-    for k in range(n):
-        if scaled[k]:
-            acc += comb(n, k) * scaled[k] * power
-        power *= a
-    return Fraction(acc, d)
+    values = table.values[:n_max]
+    d = lcm(*(v.denominator for v in values))
+    u = [v.numerator * (d // v.denominator) * a**k for k, v in enumerate(values)] + [0]
+    column, row = [], u
+    for u_n in u:
+        q, r = divmod(row[0] - u_n, d)
+        column.append(Fraction(row[0] - u_n, d) if r else q)
+        row = list(map(add, row, row[1:]))
+    return column
 
 
 def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:

@@ -15,7 +15,6 @@ import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 from time import perf_counter
 
@@ -118,9 +117,12 @@ def _theorem1_failures(n, a, g, bern, order):
 
 
 def _theorem2_failures(n, a, g, bern, order):
-    diff = Fraction(2 * (g - 1) + n * a, 2)  # G - (1 - n*a/2)
-    if not congruent_mod(diff, 0, a):
-        yield f"num(G - (1 - n*a/2)) = {diff.numerator}", f"0 (mod {a})"
+    # G - (1 - n*a/2) = x/2 with x = 2(G - 1) + n*a; in lowest terms its
+    # numerator is x when x is odd and x/2 when x is even
+    x = 2 * (g - 1) + n * a
+    num = x if x & 1 else x >> 1
+    if not congruent_mod(num, 0, a):
+        yield f"num(G - (1 - n*a/2)) = {num}", f"0 (mod {a})"
 
 
 def _corollary2_failures(n, a, g, bern, order):
@@ -160,10 +162,18 @@ def _prop1_idc_failures(n, a, g, bern, order):
         )
 
 
-def _prop2_equiv_failures(n, a, g, bern, order):
-    by_sum = gen_genocchi_bernoulli(n, a, bern)
-    if by_sum != g:
-        yield f"series route {g}, Bernoulli route {by_sum}", "exact equality"
+def _prop2_equiv_failures(n, a, g, by_sums, order):
+    if by_sums[n] != g:
+        yield f"series route {g}, Bernoulli route {by_sums[n]}", "exact equality"
+
+
+def _bernoulli_input(describe, a: int | None, n_hi: int, bern: BernoulliTable | None):
+    """What `describe` reads beside G for the n <= n_hi at base a: the
+    Bernoulli table, or for prop2_equiv the whole base-a column by the
+    Bernoulli-sum route, built once."""
+    if describe is _prop2_equiv_failures:
+        return gen_genocchi_bernoulli(a, n_hi, bern)
+    return bern
 
 
 @dataclass(frozen=True)
@@ -175,7 +185,9 @@ class Statement:
     from the classical column when a is None; otherwise g is None. A
     mutation bumps a table value, so only statements with a table take one.
     `describe(n, a, g, bern, order)` yields one (observed, expected) pair per
-    way the point fails, and nothing when it holds.
+    way the point fails, and nothing when it holds. `bern` is what
+    `_bernoulli_input` hands it: None, the Bernoulli table, or for
+    prop2_equiv the base-a column by the Bernoulli-sum route.
     """
 
     describe: Callable[..., Iterator[tuple[str, str]]]
@@ -240,6 +252,7 @@ def holds(theorem: TheoremId, n: int, a: int | None = None, g: int | None = None
     bern = None
     if statement.bernoulli_offset is not None:
         bern = bernoulli_table(n + statement.bernoulli_offset)
+    bern = _bernoulli_input(statement.describe, a, n, bern)
     return not any(statement.describe(n, a, g, bern, None))
 
 
@@ -258,6 +271,7 @@ def _evaluate_column(task) -> tuple[int, list[GridFailure], list[int] | None]:
             values = list(values)
             values[mutate[0]] += 1
     n_values = statement.n_values(a, n_lo, n_hi)
+    bern = _bernoulli_input(statement.describe, a, n_hi, bern)
     failures = [
         GridFailure(n, a, observed, expected)
         for n in n_values
@@ -370,7 +384,8 @@ def run_grid(
         if column is None:
             column = columns[(ma, n_hi)] = _column(ma, n_hi)
         at = ma if statement.over_a else None
-        if not any(statement.describe(mn, at, column[mn] + 1, bern, order)):
+        by = _bernoulli_input(statement.describe, at, mn, bern)
+        if not any(statement.describe(mn, at, column[mn] + 1, by, order)):
             raise ValueError(
                 f"mutation at (n={mn}, a={ma}) is invisible to {theorem.value}: "
                 "G + 1 still satisfies it"

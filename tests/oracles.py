@@ -85,6 +85,11 @@ def bernoulli_sum(n: int, a: int, b: list[Fraction]) -> Fraction:
     return sum((comb(n, k) * b[k] * a**k for k in range(n)), Fraction(0))
 
 
+def congruent_by_fractions(x, y, m: int) -> bool:
+    """x = y (mod m) over Q, decided on the numerator of Fraction(x) - Fraction(y)."""
+    return (Fraction(x) - Fraction(y)).numerator % m == 0
+
+
 def trial_factor(n: int) -> list[tuple[int, int]]:
     """Naive factorization by trial division over all integers."""
     out = []

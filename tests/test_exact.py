@@ -13,7 +13,13 @@ from genocchi.exact import (
     factorize,
     is_prime,
 )
-from oracles import FACTORIZE_FROZEN, primes_by_trial, trial_factor, valuation
+from oracles import (
+    FACTORIZE_FROZEN,
+    congruent_by_fractions,
+    primes_by_trial,
+    trial_factor,
+    valuation,
+)
 
 
 class TestFactorize:
@@ -180,6 +186,15 @@ class TestCongruence:
     def test_congruences_scale_by_integers(self, x, j, c, m):
         y = x + m * j
         assert congruent_mod(c * x, c * y, m)
+
+    @given(
+        st.one_of(st.integers(-10**30, 10**30), st.fractions(min_value=-50, max_value=50)),
+        st.one_of(st.integers(-10**30, 10**30), st.fractions(min_value=-50, max_value=50)),
+        st.integers(1, 10**6),
+    )
+    def test_ints_and_mixes_decide_as_fractions(self, x, y, m):
+        # two ints skip the Fraction; every mix must decide as the Fraction route
+        assert congruent_mod(x, y, m) is congruent_by_fractions(x, y, m)
 
     def test_congruences_do_not_multiply(self):
         # frozen counterexample: both sides are congruent mod 3, their

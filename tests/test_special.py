@@ -1,6 +1,7 @@
 """Bernoulli and Genocchi generators, their dual routes, and the
 denominator structure of the Bernoulli numbers."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from genocchi.special import (
     genocchi_table,
     von_staudt_clausen_sum,
 )
+from check_frontier import DIGESTS, digest
 from oracles import (
     BERNOULLI_FROZEN,
     GEN_GENOCCHI_FROZEN,
@@ -168,17 +170,21 @@ class TestGenGenocchi:
 
 class TestBernoulliSumRoute:
     def test_frozen_spot_values(self, bern64):
-        assert gen_genocchi_bernoulli(6, 3, bern64) == -26
-        assert gen_genocchi_bernoulli(3, 6, bern64) == 10
-        assert gen_genocchi_bernoulli(8, 2, bern64) == 17
+        assert gen_genocchi_bernoulli(3, 6, bern64)[6] == -26
+        assert gen_genocchi_bernoulli(6, 3, bern64)[3] == 10
+        assert gen_genocchi_bernoulli(2, 8, bern64)[8] == 17
 
     def test_agrees_with_series_route_on_grid(self, bern64):
         for a in range(2, 9):
-            column = gen_genocchi_table(a, 32)
-            for n in range(1, 33):
-                by_sum = gen_genocchi_bernoulli(n, a, bern64)
-                assert by_sum.denominator == 1
-                assert by_sum == column[n]
+            by_sum = gen_genocchi_bernoulli(a, 32, bern64)
+            assert all(type(g) is int for g in by_sum)
+            assert by_sum == gen_genocchi_table(a, 32)
+
+    def test_starts_at_zero_and_reads_below_n_max(self):
+        # G_{0,a} is the empty sum, and column n_max reads B_0..B_{n_max-1}
+        assert gen_genocchi_bernoulli(5, 0, bernoulli_table(0)) == [0]
+        short = bernoulli_table(7)
+        assert gen_genocchi_bernoulli(4, 8, short) == gen_genocchi_table(4, 8)
 
     def test_integer_route_is_exact_for_any_table(self, bern64):
         # one even entry altered, anchors intact, and a new prime in the
@@ -187,17 +193,27 @@ class TestBernoulliSumRoute:
         values[10] += Fraction(1, 101)
         doctored = BernoulliTable(tuple(values))
         for a in (2, 3, 10):
-            for n in range(1, 65):
-                assert gen_genocchi_bernoulli(n, a, doctored) == bernoulli_sum(n, a, values)
-        assert gen_genocchi_bernoulli(11, 3, doctored).denominator == 101
+            by_sum = gen_genocchi_bernoulli(a, 65, doctored)
+            for n in range(1, 66):
+                assert by_sum[n] == bernoulli_sum(n, a, values)
+        assert gen_genocchi_bernoulli(3, 11, doctored)[11].denominator == 101
 
     def test_rejects_bad_arguments(self, bern64):
         with pytest.raises(ValueError):
-            gen_genocchi_bernoulli(0, 3, bern64)
+            gen_genocchi_bernoulli(1, 3, bern64)
         with pytest.raises(ValueError):
-            gen_genocchi_bernoulli(3, 1, bern64)
+            gen_genocchi_bernoulli(3, -1, bern64)
         with pytest.raises(ValueError, match="table"):
-            gen_genocchi_bernoulli(4, 3, bernoulli_table(2))
+            gen_genocchi_bernoulli(3, 4, bernoulli_table(2))
+
+
+class TestFrontierDigest:
+    def test_base_two_column_at_n_1000(self):
+        # the full set (every base to 100, and B_0..B_2000) is checked by
+        # tests/check_frontier.py, which takes minutes
+        pinned = json.loads(DIGESTS.read_text())
+        column = gen_genocchi_table(2, pinned["column_n_max"])
+        assert digest(column) == pinned["columns"]["2"]
 
 
 class TestVonStaudtClausen:

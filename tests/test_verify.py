@@ -11,7 +11,12 @@ from genocchi import verify
 
 from genocchi.exact import coprime_part
 from genocchi.series import idc_reciprocal_scaled
-from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
+from genocchi.special import (
+    BernoulliTable,
+    bernoulli_table,
+    gen_genocchi_table,
+    genocchi_table,
+)
 from genocchi.verify import (
     STATEMENTS,
     GridFailure,
@@ -323,6 +328,33 @@ class TestMutation:
             run_grid(TheoremId.PROP1_IDC, (1, 10), None, mutate=(4, 2))
         with pytest.raises(ValueError, match="a = 2"):
             run_grid(TheoremId.ODD_GENOCCHI, (2, 10), None, mutate=(4, 3))
+
+
+class TestFailureText:
+    """The failure text of the integer routes, pinned byte for byte to what
+    the earlier Fraction routes wrote."""
+
+    def test_prop2_on_a_doctored_table(self):
+        values = list(bernoulli_table(20).values)
+        values[10] += Fraction(1, 101)
+        doctored = BernoulliTable(tuple(values))
+        r = run_grid(TheoremId.PROP2_EQUIV, (1, 12), (3, 4), bernoulli=doctored)
+        assert [(f.n, f.a, f.observed, f.expected) for f in r.failures] == [
+            (11, 3, "series route 20317, Bernoulli route 2701556/101", "exact equality"),
+            (11, 4, "series route 555731, Bernoulli route 67663167/101", "exact equality"),
+            (12, 3, "series route 201772, Bernoulli route 24276206/101", "exact equality"),
+            (12, 4, "series route 4247577, Bernoulli route 498211293/101", "exact equality"),
+        ]
+
+    @pytest.mark.parametrize("mutate,observed,expected", [
+        # n*a = 21 is odd, so x = 2(G - 1) + n*a is odd and is the numerator
+        ((7, 3), "num(G - (1 - n*a/2)) = 119", "0 (mod 3)"),
+        # n*a = 30 is even, so the numerator is x / 2
+        ((6, 5), "num(G - (1 - n*a/2)) = -249", "0 (mod 5)"),
+    ])
+    def test_theorem2_at_a_mutated_point(self, mutate, observed, expected):
+        r = run_grid(TheoremId.THEOREM2, (2, 12), (2, 5), mutate=mutate)
+        assert r.failures == (GridFailure(*mutate, observed, expected),)
 
 
 class TestBernoulliPlumbing:
