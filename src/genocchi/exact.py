@@ -18,7 +18,6 @@ left of it is at least (10^6 + 1)^2 and has no divisor up to the bound.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -86,10 +85,8 @@ def coprime_part(n: int, a: int) -> int:
 
 
 def congruent_mod(x, y, m: int) -> bool:
-    """Decide x = y (mod m) over Q: whether m divides the numerator of x - y.
-    Two ints are decided in the integers, without building a Fraction."""
+    """Decide x = y (mod m) over Q, for ints and Fractions: whether m divides
+    the numerator of x - y. Two ints stay ints, as int.numerator is itself."""
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    if type(x) is int and type(y) is int:
-        return (x - y) % m == 0
-    return (Fraction(x) - Fraction(y)).numerator % m == 0
+    return (x - y).numerator % m == 0

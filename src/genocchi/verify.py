@@ -163,6 +163,8 @@ def _prop1_idc_failures(n, a, g, bern, order):
 
 
 def _prop2_equiv_failures(n, a, g, by_sums, order):
+    """Unlike the other describers, this one is handed in the `bern` slot
+    the base-a column G_{0..,a} by the Bernoulli-sum route, not the table."""
     if by_sums[n] != g:
         yield f"series route {g}, Bernoulli route {by_sums[n]}", "exact equality"
 

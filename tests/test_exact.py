@@ -193,7 +193,7 @@ class TestCongruence:
         st.integers(1, 10**6),
     )
     def test_ints_and_mixes_decide_as_fractions(self, x, y, m):
-        # two ints skip the Fraction; every mix must decide as the Fraction route
+        # ints and int/Fraction mixes must decide as the Fraction route
         assert congruent_mod(x, y, m) is congruent_by_fractions(x, y, m)
 
     def test_congruences_do_not_multiply(self):
