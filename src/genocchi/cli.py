@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=200, help="grid runs n = 1..n-max")
     p_ver.add_argument("--a-max", type=int, default=20, help="grid runs a = 2..a-max")
     p_ver.add_argument("--order", type=int, default=None, help="prop1_idc trial order (default 30)")
-    p_ver.add_argument("--jobs", type=int, default=1, help="worker processes for a-columns")
+    p_ver.add_argument("--jobs", type=int, default=1, help="processes that build columns")
     p_ver.add_argument(
         "--mutate",
         type=_mutate_pair,

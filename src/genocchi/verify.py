@@ -97,10 +97,17 @@ def _base(a: int | None) -> int:
     return 2 if a is None else a
 
 
-def _column(a: int | None, n_hi: int) -> list[int]:
-    """The base-a column, built through genocchi_table when a is 2 or None."""
-    a = _base(a)
-    return genocchi_table(n_hi) if a == 2 else gen_genocchi_table(a, n_hi)
+def _column(key: tuple[int | None, int]) -> list[int]:
+    """The base-a column to n_hi for key = (a, n_hi), built through
+    genocchi_table when a is 2 or None; one argument, as a task for _map."""
+    a, n_hi = key
+    return genocchi_table(n_hi) if _base(a) == 2 else gen_genocchi_table(a, n_hi)
+
+
+def _bernoulli_sum_column(task: tuple[int, int, BernoulliTable]) -> list:
+    """gen_genocchi_bernoulli for task = (a, n_hi, table); one argument, as a
+    task for _map."""
+    return gen_genocchi_bernoulli(*task)
 
 
 def _lemma_n_div_failures(n, a, g, bern, order):
@@ -169,15 +176,6 @@ def _prop2_equiv_failures(n, a, g, by_sums, order):
         yield f"series route {g}, Bernoulli route {by_sums[n]}", "exact equality"
 
 
-def _bernoulli_input(describe, a: int | None, n_hi: int, bern: BernoulliTable | None):
-    """What `describe` reads beside G for the n <= n_hi at base a: the
-    Bernoulli table, or for prop2_equiv the whole base-a column by the
-    Bernoulli-sum route, built once."""
-    if describe is _prop2_equiv_failures:
-        return gen_genocchi_bernoulli(a, n_hi, bern)
-    return bern
-
-
 @dataclass(frozen=True)
 class Statement:
     """Everything the grid runner knows about one statement.
@@ -188,8 +186,8 @@ class Statement:
     mutation bumps a table value, so only statements with a table take one.
     `describe(n, a, g, bern, order)` yields one (observed, expected) pair per
     way the point fails, and nothing when it holds. `bern` is what
-    `_bernoulli_input` hands it: None, the Bernoulli table, or for
-    prop2_equiv the base-a column by the Bernoulli-sum route.
+    `_beside_g` hands it: None, the Bernoulli table, or for prop2_equiv
+    the base-a column by the Bernoulli-sum route.
     """
 
     describe: Callable[..., Iterator[tuple[str, str]]]
@@ -233,6 +231,31 @@ STATEMENTS: dict[TheoremId, Statement] = {
 }
 
 
+def _map(fn, items: list, jobs: int):
+    """fn(x) for each x of items, in order: lazily in this process, so a
+    caller that keeps no result holds one at a time, or on at most `jobs`
+    worker processes, never more than one per item or per CPU. The only
+    code that starts a process pool."""
+    jobs = min(jobs, len(items), os.cpu_count() or 1)
+    if jobs <= 1:
+        return map(fn, items)
+    # imported here, not at module level, so that single-process runs do
+    # not pay for it at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def _beside_g(theorem: TheoremId, bases, n_hi: int, bern: BernoulliTable | None, jobs: int = 1):
+    """What the statement's describer reads beside G at each base, for the
+    n <= n_hi: `bern`, the Bernoulli table or None, except that prop2_equiv
+    reads the base's column by the Bernoulli-sum route, built here."""
+    if theorem is not TheoremId.PROP2_EQUIV:
+        return [bern] * len(bases)
+    return _map(_bernoulli_sum_column, [(a, n_hi, bern) for a in bases], jobs)
+
+
 def holds(theorem: TheoremId, n: int, a: int | None = None, g: int | None = None) -> bool:
     """Whether the statement holds at (n, a) for the value g, or for G at
     (n, a) by the series route when g is None. a is the base, and is given
@@ -250,38 +273,12 @@ def holds(theorem: TheoremId, n: int, a: int | None = None, g: int | None = None
         where = f"n = {n}" if a is None else f"n = {n}, a = {a}"
         raise ValueError(f"{theorem.value} is not stated at {where}")
     if g is None:
-        g = _column(a, n)[n]
+        g = _column((a, n))[n]
     bern = None
     if statement.bernoulli_offset is not None:
         bern = bernoulli_table(n + statement.bernoulli_offset)
-    bern = _bernoulli_input(statement.describe, a, n, bern)
-    return not any(statement.describe(n, a, g, bern, None))
-
-
-def _evaluate_column(task) -> tuple[int, list[GridFailure], list[int] | None]:
-    """Check every n of one column. Shaped as a single-argument callable so
-    it can run under a process pool. The task carries the column when one
-    was built before, or None; the column built here comes back with the
-    result, unmutated, so the caller can keep it."""
-    statement, a, n_lo, n_hi, order, mutate, bern, column = task
-    values = built = None
-    if statement.table:
-        values = column
-        if values is None:
-            values = built = _column(a, n_hi)
-        if mutate is not None and (a is None or mutate[1] == a):
-            values = list(values)
-            values[mutate[0]] += 1
-    n_values = statement.n_values(a, n_lo, n_hi)
-    bern = _bernoulli_input(statement.describe, a, n_hi, bern)
-    failures = [
-        GridFailure(n, a, observed, expected)
-        for n in n_values
-        for observed, expected in statement.describe(
-            n, a, None if values is None else values[n], bern, order
-        )
-    ]
-    return len(n_values), failures, built
+    (beside,) = _beside_g(theorem, (a,), n, bern)
+    return not any(statement.describe(n, a, g, beside, None))
 
 
 def run_grid(
@@ -300,13 +297,14 @@ def run_grid(
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
     one table value by 1 before checking, to prove the harness can fail; a
-    bump the statement cannot detect at (n, a) is an error.
+    mutated grid with no failure at (n, a) is an error.
     `order` sizes prop1_idc's trial series (default 30, below 1 an error),
     and prop1_idc notes the order used; other statements have none and note
-    that they ignore it. The columns run on at most `jobs` worker processes,
-    and never on more than one per column or per CPU. Failures come back
-    sorted by (n, a); two identical runs produce equal reports apart from
-    elapsed_s.
+    that they ignore it. The columns to build, series columns and
+    prop2_equiv's Bernoulli-sum columns, are built on at most `jobs` worker
+    processes, never more than one per column or per CPU; the checks run in
+    this process. Failures come back sorted by (n, a); two identical runs
+    produce equal reports apart from elapsed_s.
 
     `columns` memoises columns by (a, n_max), a being 2 for the classical
     column: a column found there is not built again, and each column built
@@ -353,7 +351,8 @@ def run_grid(
                 raise ValueError(f"{theorem.value} tables are the a = 2 column; use a = 2")
         elif not (a_lo <= ma <= a_hi):
             raise ValueError(f"mutation target a = {ma} is outside [{a_lo}, {a_hi}]")
-        if mn not in statement.n_values(ma if statement.over_a else None, n_lo, n_hi):
+        at = ma if statement.over_a else None
+        if mn not in statement.n_values(at, n_lo, n_hi):
             why = "outside the checked range"
             if statement.even_only:
                 why = "not a checked even index"
@@ -379,43 +378,39 @@ def run_grid(
 
     if columns is None:
         columns = {}
-    if mutate is not None:
-        # a bump the statement cannot see would pass the self-test silently;
-        # the unmutated column is kept, so the grid does not build it again
-        column = columns.get((ma, n_hi))
-        if column is None:
-            column = columns[(ma, n_hi)] = _column(ma, n_hi)
-        at = ma if statement.over_a else None
-        by = _bernoulli_input(statement.describe, at, mn, bern)
-        if not any(statement.describe(mn, at, column[mn] + 1, by, order)):
-            raise ValueError(
-                f"mutation at (n={mn}, a={ma}) is invisible to {theorem.value}: "
-                "G + 1 still satisfies it"
+    if statement.table:
+        missing = [(_base(a), n_hi) for a in bases if (_base(a), n_hi) not in columns]
+        columns.update(zip(missing, _map(_column, missing, jobs)))
+    failures: list[GridFailure] = []
+    checked = 0
+    for a, beside in zip(bases, _beside_g(theorem, bases, n_hi, bern, jobs)):
+        values = None
+        if statement.table:
+            values = columns[(_base(a), n_hi)]
+            if mutate is not None and _base(a) == ma:
+                values = list(values)  # the memo keeps the unmutated column
+                values[mn] += 1
+        n_values = statement.n_values(a, n_lo, n_hi)
+        checked += len(n_values)
+        failures += (
+            GridFailure(n, a, observed, expected)
+            for n in n_values
+            for observed, expected in statement.describe(
+                n, a, None if values is None else values[n], beside, order
             )
-    tasks = [
-        (statement, a, n_lo, n_hi, order, mutate, bern, columns.get((_base(a), n_hi)))
-        for a in bases
-    ]
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        # imported here, not at module level, so that single-process runs
-        # do not pay for it at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_column, tasks))
-    else:
-        results = [_evaluate_column(t) for t in tasks]
-    for a, (_, _, built) in zip(bases, results):
-        if built is not None:
-            columns[(_base(a), n_hi)] = built
-    failures = [f for _, col_failures, _ in results for f in col_failures]
+        )
     failures.sort(key=lambda fl: (fl.n, fl.a if fl.a is not None else 0))
+    if mutate is not None and not any((f.n, f.a) == (mn, at) for f in failures):
+        # a bump the statement cannot see would pass the self-test silently
+        raise ValueError(
+            f"mutation at (n={mn}, a={ma}) is invisible to {theorem.value}: "
+            "G + 1 still satisfies it"
+        )
     return VerificationReport(
         theorem=theorem,
         n_range=(n_lo, n_hi),
         a_range=(a_lo, a_hi) if statement.over_a else None,
-        checked=sum(col_checked for col_checked, _, _ in results),
+        checked=checked,
         failures=tuple(failures),
         notes=tuple(notes),
         elapsed_s=perf_counter() - start,

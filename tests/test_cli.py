@@ -389,14 +389,16 @@ class TestVerifyCommand:
             assert sorted(built) == [(a, 12) for a in (2, 3, 4)]
 
     def test_jobs_flag_changes_nothing_but_elapsed(self, capsys, tmp_path):
-        argv = ["verify", "theorem1", "--n-max", "15", "--a-max", "4", "--format", "json"]
-        code1, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
-        assert code1 == code2 == 0
-        one, two = json.loads(out1), json.loads(out2)
-        for r in one + two:
-            del r["elapsed_s"]
-        assert one == two
+        for theorem in ("theorem1", "all"):
+            argv = ["verify", theorem, "--n-max", "15", "--a-max", "4", "--format", "json",
+                    "--cache-path", str(tmp_path / "b.json")]
+            code1, out1, _ = run_cli(capsys, *argv)
+            code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+            assert code1 == code2 == 0
+            one, two = json.loads(out1), json.loads(out2)
+            for r in one + two:
+                del r["elapsed_s"]
+            assert one == two
 
     def test_n_max_below_a_statements_hypothesis_exits_two_before_checking(self, capsys, tmp_path):
         # theorem2 starts at n = 2, so `all` must stop before lemma_n_div runs

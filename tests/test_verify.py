@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from genocchi import verify
-
+from genocchi.cli import main
 from genocchi.exact import coprime_part
 from genocchi.series import idc_reciprocal_scaled
 from genocchi.special import (
     BernoulliTable,
     bernoulli_table,
+    gen_genocchi_bernoulli,
     gen_genocchi_table,
     genocchi_table,
 )
@@ -191,6 +192,29 @@ class TestGridCounting:
             run_grid(TheoremId.THEOREM1, (1, 10), None)
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The worker counts of the process pools started, each running its
+    tasks in this process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return started
+
+
 class TestDeterminism:
     def test_identical_runs_compare_equal(self):
         r1 = run_grid(TheoremId.THEOREM2, (2, 25), (2, 6))
@@ -202,6 +226,7 @@ class TestDeterminism:
         r1 = run_grid(TheoremId.THEOREM2, (2, 12), (2, 5), mutate=(7, 3))
         r2 = run_grid(TheoremId.THEOREM2, (2, 12), (2, 5), mutate=(7, 3))
         assert r1 == r2
+        assert run_grid(TheoremId.THEOREM2, (2, 12), (2, 5), mutate=(7, 3), jobs=2) == r1
 
     def test_jobs_do_not_change_the_report(self):
         r1 = run_grid(TheoremId.THEOREM1, (1, 30), (2, 6), jobs=1)
@@ -214,23 +239,7 @@ class TestDeterminism:
             assert run_grid(theorem, (1, 30), (2, 6), jobs=2, columns=columns) == serial
         assert columns == {(a, 30): gen_genocchi_table(a, 30) for a in range(2, 7)}
 
-    def test_worker_count_is_clamped(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    def test_worker_count_is_clamped(self, monkeypatch, started):
         serial = run_grid(TheoremId.THEOREM1, (1, 12), (2, 3))
         # jobs 3 on two columns: at most one worker per column and per CPU
         for cpus, expected in ((4, [2]), (1, []), (None, [])):
@@ -238,6 +247,17 @@ class TestDeterminism:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert run_grid(TheoremId.THEOREM1, (1, 12), (2, 3), jobs=3) == serial
             assert started == expected
+
+    def test_a_command_starts_one_pool_per_kind_of_column(
+        self, monkeypatch, started, capsys, tmp_path
+    ):
+        # series columns for the first a-based statement, Bernoulli-sum
+        # columns for prop2_equiv; the other statements only check
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        argv = ["verify", "all", "--n-max", "20", "--a-max", "5", "--jobs", "2",
+                "--cache-path", str(tmp_path / "b.json")]
+        assert main(argv) == 0
+        assert started == [2, 2]
 
     def test_prop1_trials_are_reproducible(self):
         assert _prop1_trial_series(9, 30) == _prop1_trial_series(9, 30)
@@ -275,6 +295,18 @@ class TestMutation:
     def test_prop2_mutation_detected(self):
         r = run_grid(TheoremId.PROP2_EQUIV, (1, 10), (2, 4), mutate=(6, 3))
         assert [(f.n, f.a) for f in r.failures] == [(6, 3)]
+
+    def test_prop2_mutation_builds_one_bernoulli_sum_column_per_base(self, monkeypatch):
+        built = []
+
+        def counting(a, n_max, table):
+            built.append((a, n_max))
+            return gen_genocchi_bernoulli(a, n_max, table)
+
+        monkeypatch.setattr(verify, "gen_genocchi_bernoulli", counting)
+        r = run_grid(TheoremId.PROP2_EQUIV, (1, 10), (2, 4), mutate=(6, 3))
+        assert [(f.n, f.a) for f in r.failures] == [(6, 3)]
+        assert built == [(a, 10) for a in (2, 3, 4)]
 
     def test_prop1_reports_a_non_integral_trial(self, monkeypatch):
         # prop1 judges the coefficients it gets, not merely that they come back
