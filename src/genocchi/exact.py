@@ -55,22 +55,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 f"division bound {TRIAL_DIVISION_BOUND} and cannot be certified prime"
             )
         if rest % d == 0:
-            e = _multiplicity(rest, d)
-            rest //= d**e
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
     if rest > 1:
         out.append((rest, 1))
     return out
-
-
-def _multiplicity(n: int, p: int) -> int:
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def coprime_part(n: int, a: int) -> int:

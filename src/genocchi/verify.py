@@ -3,8 +3,8 @@ numbers, with exact counterexample capture.
 
 Every claim is checked with integer or rational arithmetic only; a grid
 run either reports zero failures or pins each failing point with the
-observed and expected values. `holds` checks one point by the same
-record. A mutation mode perturbs a single table value on purpose, so the
+observed and expected values. `holds` checks one point as a one-point
+grid. A mutation mode perturbs a single table value on purpose, so the
 harness can demonstrate that it is capable of rejecting a false statement.
 """
 
@@ -15,6 +15,7 @@ import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from math import gcd
 from time import perf_counter
 
@@ -97,17 +98,9 @@ def _base(a: int | None) -> int:
     return 2 if a is None else a
 
 
-def _column(key: tuple[int | None, int]) -> list[int]:
-    """The base-a column to n_hi for key = (a, n_hi), built through
-    genocchi_table when a is 2 or None; one argument, as a task for _map."""
-    a, n_hi = key
-    return genocchi_table(n_hi) if _base(a) == 2 else gen_genocchi_table(a, n_hi)
-
-
-def _bernoulli_sum_column(task: tuple[int, int, BernoulliTable]) -> list:
-    """gen_genocchi_bernoulli for task = (a, n_hi, table); one argument, as a
-    task for _map."""
-    return gen_genocchi_bernoulli(*task)
+def _column(a: int, n_hi: int) -> list[int]:
+    """The base-a column to n_hi, built through genocchi_table when a is 2."""
+    return genocchi_table(n_hi) if a == 2 else gen_genocchi_table(a, n_hi)
 
 
 def _lemma_n_div_failures(n, a, g, bern, order):
@@ -185,9 +178,9 @@ class Statement:
     from the classical column when a is None; otherwise g is None. A
     mutation bumps a table value, so only statements with a table take one.
     `describe(n, a, g, bern, order)` yields one (observed, expected) pair per
-    way the point fails, and nothing when it holds. `bern` is what
-    `_beside_g` hands it: None, the Bernoulli table, or for prop2_equiv
-    the base-a column by the Bernoulli-sum route.
+    way the point fails, and nothing when it holds. `bern` is None, the
+    Bernoulli table, or for prop2_equiv the base-a column by the
+    Bernoulli-sum route.
     """
 
     describe: Callable[..., Iterator[tuple[str, str]]]
@@ -231,54 +224,41 @@ STATEMENTS: dict[TheoremId, Statement] = {
 }
 
 
-def _map(fn, items: list, jobs: int):
-    """fn(x) for each x of items, in order: lazily in this process, so a
-    caller that keeps no result holds one at a time, or on at most `jobs`
-    worker processes, never more than one per item or per CPU. The only
-    code that starts a process pool."""
+def _map(fn, items, *more, jobs: int):
+    """map(fn, items, *more), in order: lazily in this process, so a caller
+    that keeps no result holds one at a time, or on at most `jobs` worker
+    processes, never more than one per item or per CPU. The only code that
+    starts a process pool."""
     jobs = min(jobs, len(items), os.cpu_count() or 1)
     if jobs <= 1:
-        return map(fn, items)
+        return map(fn, items, *more)
     # imported here, not at module level, so that single-process runs do
     # not pay for it at start-up
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _beside_g(theorem: TheoremId, bases, n_hi: int, bern: BernoulliTable | None, jobs: int = 1):
-    """What the statement's describer reads beside G at each base, for the
-    n <= n_hi: `bern`, the Bernoulli table or None, except that prop2_equiv
-    reads the base's column by the Bernoulli-sum route, built here."""
-    if theorem is not TheoremId.PROP2_EQUIV:
-        return [bern] * len(bases)
-    return _map(_bernoulli_sum_column, [(a, n_hi, bern) for a in bases], jobs)
+        return list(pool.map(fn, items, *more))
 
 
 def holds(theorem: TheoremId, n: int, a: int | None = None, g: int | None = None) -> bool:
     """Whether the statement holds at (n, a) for the value g, or for G at
-    (n, a) by the series route when g is None. a is the base, and is given
-    exactly when the statement ranges over bases. A statement without a
-    table, or a point that its record does not check, raises ValueError."""
+    (n, a) by the series route when g is None: the one-point grid of
+    run_grid. a is the base, and is given exactly when the statement ranges
+    over bases. A statement without a table raises ValueError, and so does
+    a point that its record does not check, as an empty grid.
+
+    A prop2_equiv point costs O(n^2): it builds B_0..B_n and its base's
+    whole Bernoulli-sum column to n. To check many points, turn the loop
+    over points -> call run_grid once on a grid that holds them."""
     statement = STATEMENTS[theorem]
     if not statement.table:
         raise ValueError(f"{theorem.value} has no table value to check at a point")
     if statement.over_a != (a is not None):
         verb = "needs a base a" if statement.over_a else "takes no base a"
         raise ValueError(f"{theorem.value} {verb}")
-    if a is not None and a < 2:
-        raise ValueError(f"base must satisfy a >= 2, got {a}")
-    if n not in statement.n_values(a, statement.min_n, n):
-        where = f"n = {n}" if a is None else f"n = {n}, a = {a}"
-        raise ValueError(f"{theorem.value} is not stated at {where}")
-    if g is None:
-        g = _column((a, n))[n]
-    bern = None
-    if statement.bernoulli_offset is not None:
-        bern = bernoulli_table(n + statement.bernoulli_offset)
-    (beside,) = _beside_g(theorem, (a,), n, bern)
-    return not any(statement.describe(n, a, g, beside, None))
+    # a given g stands in for the column, whose only entry read is n
+    columns = None if g is None else {(_base(a), n): {n: g}}
+    return run_grid(theorem, (n, n), None if a is None else (a, a), columns=columns).passed
 
 
 def run_grid(
@@ -304,7 +284,8 @@ def run_grid(
     prop2_equiv's Bernoulli-sum columns, are built on at most `jobs` worker
     processes, never more than one per column or per CPU; the checks run in
     this process. Failures come back sorted by (n, a); two identical runs
-    produce equal reports apart from elapsed_s.
+    produce equal reports apart from elapsed_s. `holds` is the one-point
+    form of this run.
 
     `columns` memoises columns by (a, n_max), a being 2 for the classical
     column: a column found there is not built again, and each column built
@@ -379,11 +360,17 @@ def run_grid(
     if columns is None:
         columns = {}
     if statement.table:
-        missing = [(_base(a), n_hi) for a in bases if (_base(a), n_hi) not in columns]
-        columns.update(zip(missing, _map(_column, missing, jobs)))
+        missing = [a for a in map(_base, bases) if (a, n_hi) not in columns]
+        built = _map(_column, missing, repeat(n_hi), jobs=jobs)
+        columns.update(((a, n_hi), column) for a, column in zip(missing, built))
+    # what the describer reads beside G: prop2_equiv reads its base's column
+    # by the Bernoulli-sum route, the other statements `bern`
+    besides = repeat(bern)
+    if theorem is TheoremId.PROP2_EQUIV:
+        besides = _map(gen_genocchi_bernoulli, bases, repeat(n_hi), repeat(bern), jobs=jobs)
     failures: list[GridFailure] = []
     checked = 0
-    for a, beside in zip(bases, _beside_g(theorem, bases, n_hi, bern, jobs)):
+    for a, beside in zip(bases, besides):
         values = None
         if statement.table:
             values = columns[(_base(a), n_hi)]

@@ -74,21 +74,22 @@ class TestPointChecks:
         assert not holds(TheoremId.ODD_GENOCCHI, 8, g=18)
 
     def test_hypothesis_bounds_enforced(self):
-        with pytest.raises(ValueError):
+        # a point outside the statement is an empty one-point grid
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.LEMMA_N_DIV, 0, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.THEOREM1, 3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.THEOREM2, 1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.COROLLARY2, 1, 6)  # even a starts at n = 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.GCD_COROLLARY, 1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.ODD_GENOCCHI, 7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.ODD_GENOCCHI, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             holds(TheoremId.COROLLARY2, 0, 7)  # odd a starts at n = 1
 
     def test_points_outside_a_statement_rejected(self):
@@ -100,6 +101,40 @@ class TestPointChecks:
             holds(TheoremId.VSC_INTEGRALITY, 4)
         with pytest.raises(ValueError, match="no table"):
             holds(TheoremId.PROP1_IDC, 4)
+
+    def test_a_given_value_builds_no_series_column(self, monkeypatch):
+        built = []
+
+        def counting(name):
+            real = getattr(verify, name)
+
+            def build(*args):
+                built.append(name)
+                return real(*args)
+
+            return build
+
+        for name in ("gen_genocchi_table", "genocchi_table"):
+            monkeypatch.setattr(verify, name, counting(name))
+        for theorem in MUTABLE:
+            a = 3 if STATEMENTS[theorem].over_a else None
+            g = (genocchi_table(8) if a is None else gen_genocchi_table(a, 8))[8]
+            assert holds(theorem, 8, a, g)
+        assert not holds(TheoremId.PROP2_EQUIV, 8, 3, gen_genocchi_table(3, 8)[8] + 1)
+        assert built == []
+        assert holds(TheoremId.THEOREM1, 8, 3)
+        assert built == ["gen_genocchi_table"]
+
+    def test_prop2_point_builds_one_bernoulli_sum_column(self, monkeypatch):
+        built = []
+
+        def counting(a, n_max, table):
+            built.append((a, n_max))
+            return gen_genocchi_bernoulli(a, n_max, table)
+
+        monkeypatch.setattr(verify, "gen_genocchi_bernoulli", counting)
+        assert holds(TheoremId.PROP2_EQUIV, 9, 4)
+        assert built == [(4, 9)]
 
 
 MUTABLE = [t for t in TheoremId if STATEMENTS[t].table]
@@ -208,8 +243,8 @@ def started(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return started
