@@ -61,9 +61,12 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
 
 def _entry_value(path: Path, entry, expect_index: int) -> Fraction:
     try:
-        index = entry["index"]
-        numerator = int(entry["num"])
-        denominator = int(entry["den"])
+        index, num, den = entry["index"], entry["num"], entry["den"]
+        # int() would also take a JSON number or boolean: 2.7 as den reads 2
+        if type(index) is not int or type(num) is not str or type(den) is not str:
+            raise TypeError("index must be an int, num and den decimal strings")
+        numerator = int(num)
+        denominator = int(den)
     except (TypeError, KeyError, ValueError) as exc:
         raise CacheCorruptionError(
             f"cache file {path}: malformed entry {expect_index}: {exc}"
@@ -95,14 +98,15 @@ def load_bernoulli_cache(path) -> BernoulliTable:
         raise CacheCorruptionError(f"cache file {p}: unreadable: {exc}") from exc
     if not isinstance(raw, dict):
         raise CacheCorruptionError(f"cache file {p}: top level is not a JSON object")
-    if raw.get("format_version") != CACHE_FORMAT_VERSION:
+    version = raw.get("format_version")
+    if type(version) is not int or version != CACHE_FORMAT_VERSION:  # JSON true == 1
         raise CacheCorruptionError(
-            f"cache file {p}: format_version {raw.get('format_version')!r} "
+            f"cache file {p}: format_version {version!r} "
             f"is not {CACHE_FORMAT_VERSION}"
         )
     max_index = raw.get("max_index")
     entries = raw.get("entries")
-    if not isinstance(max_index, int) or not isinstance(entries, list):
+    if type(max_index) is not int or not isinstance(entries, list):
         raise CacheCorruptionError(f"cache file {p}: missing max_index or entries")
     if len(entries) != max_index + 1:
         raise CacheCorruptionError(

@@ -9,10 +9,11 @@ closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
 again IDC whenever f is.
 
-series_reciprocal clears denominators and runs one back-substitution in
-Python ints. With d the lcm of the denominators and a_k = d f_k, the
-reciprocal of f is that of a / d, whose coefficients satisfy r_0 = d / c
-and r_n = -(1/c) sum_{k=1..n} C(n,k) a_k r_{n-k} for c = a_0. The kernel
+series_reciprocal serves the column path alone. It clears denominators
+and runs one back-substitution in Python ints. With d the lcm of the
+denominators and a_k = d f_k, the reciprocal of f is that of a / d, whose
+coefficients satisfy r_0 = d / c and
+r_n = -(1/c) sum_{k=1..n} C(n,k) a_k r_{n-k} for c = a_0. The kernel
 carries each r_n as p_n / c^e_n with an integer p_n and e_n as small as
 the recurrence allows: the sum for r_n runs over the integers
 p_m c^(top - e_m), every earlier r_m over one power c^top, and c is
@@ -23,13 +24,11 @@ Genocchi columns the largest e_n is 6 at (a, N) = (20, 1000) and 10 at
 bits into every operand.
 
 idc_reciprocal_scaled takes the integer derivative values a_0..a_N of an
-IDC series f and hands the same kernel the weights 1, a_1, a_2 c, ...,
-a_k c^(k-1) with c = a_0. Their constant term is 1, so every e_n is 0
-and p_n is the integer s_n with s_0 = 1 and
-s_n = -sum_{k=1..n} C(n,k) a_k c^(k-1) s_{n-k}: coefficient n of
-a_0 / f(a_0 t) is s_n, and that recurrence over the integers is the
-proof that a_0 / f(a_0 t) is IDC. It takes and returns ints only, with
-no Fraction on either side.
+IDC series f and runs its own recurrence, s_0 = 1 and
+s_n = -sum_{k=1..n} C(n,k) a_k c^(k-1) s_{n-k} with c = a_0, in which
+nothing is divided: coefficient n of a_0 / f(a_0 t) is s_n, and that
+recurrence over the integers is the proof that a_0 / f(a_0 t) is IDC. It
+takes and returns ints only, with no Fraction on either side.
 """
 
 from __future__ import annotations
@@ -89,29 +88,21 @@ def _back_substitute(a: list[int], s0: int) -> tuple[list[int], list[int]]:
     """The reciprocal r of the series a / s0, for c = a_0 != 0, as integers
     p_n and exponents e_n with r_n = p_n / c^e_n (see the module docstring).
     Each e_n is as small as the recurrence allows: c does not divide p_n
-    unless e_n = 0. A unit c leaves every e_n at 0."""
+    unless e_n = 0."""
     c = a[0]
-    unit = c in (1, -1)  # 1/c = c: every e_n is 0 and nothing is divided out
-    # the recurrence's -1/c, whole for a unit c; otherwise the 1/c goes to e_n
-    neg = -c if unit else -1
-    terms = []  # (k, neg a_k) for the nonzero a_k, 1 <= k <= n
+    terms = []  # (k, -a_k) for the nonzero a_k, 1 <= k <= n; the 1/c goes to e_n
     p, e = [], [0] * len(a)
-    scaled = p if unit else []  # p_m c^(top - e_m): every r_m so far over c^top
+    scaled = []  # p_m c^(top - e_m): every r_m so far over c^top
     top = 0
     row = [1]  # C(n, 0..n), one Pascal row per n
     for n in range(len(a)):
         if n:
             if a[n]:
-                terms.append((n, neg * a[n]))
+                terms.append((n, -a[n]))
             row = [1, *map(add, row[1:], row), 1]
-            acc = 0
-            for k, w in terms:
-                acc += row[k] * w * scaled[n - k]
-        else:
-            acc = s0 * c if unit else s0  # r_0 = s0 / c
-        if unit:
-            p.append(acc)
-            continue
+        acc = 0 if n else s0  # r_0 = s0 / c
+        for k, w in terms:
+            acc += row[k] * w * scaled[n - k]
         # r_n = acc / c^(top + 1)
         e_n = top + 1
         while e_n:
@@ -175,9 +166,17 @@ def idc_reciprocal_scaled(coeffs: list[int]) -> list[int]:
     if not coeffs or coeffs[0] == 0:
         raise ValueError("idc_reciprocal_scaled needs a nonzero constant term")
     c = coeffs[0]
-    weights = [1]  # 1, a_1, a_2 c, ..., a_k c^(k-1)
-    power = 1
-    for a_k in coeffs[1:]:
-        weights.append(a_k * power)
+    terms = []  # (k, -a_k c^(k-1)) for the nonzero a_k, 1 <= k <= n
+    power = 1  # c^(n-1)
+    s = [1]
+    row = [1]  # C(n, 0..n), one Pascal row per n
+    for n, a_n in enumerate(coeffs[1:], 1):
+        if a_n:
+            terms.append((n, -a_n * power))
         power *= c
-    return _back_substitute(weights, 1)[0]
+        row = [1, *map(add, row[1:], row), 1]
+        acc = 0
+        for k, w in terms:
+            acc += row[k] * w * s[n - k]
+        s.append(acc)
+    return s

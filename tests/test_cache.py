@@ -115,9 +115,27 @@ class TestCorruption:
         _tamper(cache_path, lambda raw: raw["entries"][3].update(index=30))
         self._expect_corruption(cache_path, "index")
 
-    def test_non_numeric_entry(self, cache_path):
-        _tamper(cache_path, lambda raw: raw["entries"][5].update(num="x"))
-        self._expect_corruption(cache_path, "malformed")
+    def test_non_numeric_entry(self, tmp_path):
+        # num and den are decimal strings and index, max_index and
+        # format_version plain ints: int() would take every value here but
+        # "x", and B_0 = 1 and B_1 = -1/2 would still read right
+        cases = [
+            (40, lambda raw: raw["entries"][5].update(num="x"), "malformed"),
+            (40, lambda raw: raw["entries"][1].update(den=2.7), "malformed"),
+            (40, lambda raw: raw["entries"][0].update(num=1.0), "malformed"),
+            (40, lambda raw: raw["entries"][0].update(num=True), "malformed"),
+            (40, lambda raw: raw["entries"][1].update(num=-1), "malformed"),
+            (40, lambda raw: raw["entries"][1].update(index=True), "malformed"),
+            (40, lambda raw: raw["entries"][1].update(index=1.0), "malformed"),
+            (40, lambda raw: raw.update(format_version=True), "format_version"),
+            (40, lambda raw: raw.update(format_version=1.0), "format_version"),
+            (1, lambda raw: raw.update(max_index=True), "missing max_index"),
+        ]
+        for max_index, mutate, fragment in cases:
+            path = tmp_path / "b.json"
+            save_bernoulli_cache(path, bernoulli_table(max_index))
+            _tamper(path, mutate)
+            self._expect_corruption(path, fragment)
 
     def test_unparseable_file(self, cache_path):
         # json.loads recurses once per bracket: deep nesting is RecursionError

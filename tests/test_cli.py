@@ -154,6 +154,12 @@ class TestBernoulliCommand:
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
         assert str(path) in err and "entry" in err
+        raw["entries"][2]["num"] = "1"
+        raw["entries"][1]["den"] = 2.7  # int() would read 2, and B_1 = -1/2
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
+        assert code == 2
+        assert str(path) in err and "malformed entry 1" in err
         path.write_text("[]")
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2

@@ -215,6 +215,16 @@ class TestReciprocal:
             p, e = _back_substitute(coeffs, d)
             assert all(e_n == 0 or p_n % a for p_n, e_n in zip(p, e)), a
             assert max(e) <= 6, a
+        # a unit c = +-1 divides every entry exactly: no power of c is left
+        units = [
+            exp_series(40),
+            EgfSeries((-1, 4, 0, -3, 7, 1, -2, 0, 5)),
+            EgfSeries((Fraction(-1, 3), Fraction(2, 3), 1, Fraction(-5, 3), 0, 4)),
+        ]
+        for f in units:
+            coeffs, d = _cleared(f)
+            assert coeffs[0] in (1, -1)
+            assert _back_substitute(coeffs, d)[1] == [0] * len(coeffs)
 
 
 class TestScaleArg:
