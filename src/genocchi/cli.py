@@ -163,6 +163,9 @@ def cmd_verify(args) -> int:
     min_n = max(STATEMENTS[t].min_n for t in theorems)
     if args.n_max < min_n:
         raise ValueError(f"--n-max must be at least {min_n} for {args.theorem}, got {args.n_max}")
+    prop1 = TheoremId.PROP1_IDC
+    if prop1 in theorems and args.order is not None and args.order < 1:
+        raise ValueError(f"order {args.order} is below 1 for {prop1.value}")
 
     bernoulli = None
     if any(STATEMENTS[t].bernoulli_offset is not None for t in theorems):

@@ -28,13 +28,17 @@ IDC series f and runs its own recurrence, s_0 = 1 and
 s_n = -sum_{k=1..n} C(n,k) a_k c^(k-1) s_{n-k} with c = a_0, in which
 nothing is divided: coefficient n of a_0 / f(a_0 t) is s_n, and that
 recurrence over the integers is the proof that a_0 / f(a_0 t) is IDC. It
-takes and returns ints only, with no Fraction on either side.
+takes and returns ints only, with no Fraction on either side. Its binomials
+come from one Pascal triangle shared by every call of the same order, as
+prop1's trials are: the rows C(n, 0..n) for n = 0..N, (N+1)(N+2)/2 ints,
+kept for the most recent order only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from operator import add, mul
 
@@ -156,25 +160,39 @@ def exp_sum_series(a: int, order: int) -> EgfSeries:
     return EgfSeries(tuple(coeffs))
 
 
+@lru_cache(maxsize=1)
+def _pascal(order: int) -> tuple[tuple[int, ...], ...]:
+    """The rows C(n, 0..n) for n = 0..order, as tuples, so that the callers
+    that share them cannot change them."""
+    row = (1,)
+    rows = [row]
+    for _ in range(order):
+        row = (1, *map(add, row[1:], row), 1)
+        rows.append(row)
+    return tuple(rows)
+
+
 def idc_reciprocal_scaled(coeffs: list[int]) -> list[int]:
     """The integers s_0..s_N of a_0 / f(a_0 t), for the IDC series f with
     derivative values a_0..a_N and a_0 != 0: s_0 = 1 and
     s_n = -sum_{k=1..n} C(n,k) a_k a_0^(k-1) s_{n-k} (see the module
-    docstring)."""
+    docstring). C(n,k) is read from the shared triangle of order N, which
+    holds (N+1)(N+2)/2 ints for the most recent order only; the returned
+    list is new on every call."""
     if not all(type(a_k) is int for a_k in coeffs):
         raise ValueError("idc_reciprocal_scaled needs int coefficients")
     if not coeffs or coeffs[0] == 0:
         raise ValueError("idc_reciprocal_scaled needs a nonzero constant term")
     c = coeffs[0]
+    rows = _pascal(len(coeffs) - 1)
     terms = []  # (k, -a_k c^(k-1)) for the nonzero a_k, 1 <= k <= n
     power = 1  # c^(n-1)
     s = [1]
-    row = [1]  # C(n, 0..n), one Pascal row per n
     for n, a_n in enumerate(coeffs[1:], 1):
         if a_n:
             terms.append((n, -a_n * power))
         power *= c
-        row = [1, *map(add, row[1:], row), 1]
+        row = rows[n]
         acc = 0
         for k, w in terms:
             acc += row[k] * w * s[n - k]

@@ -374,6 +374,14 @@ class TestVerifyCommand:
         assert [r["theorem"] for r in reports] == [t.value for t in TheoremId]
         assert all(r["failure_count"] == 0 for r in reports)
 
+    def test_bad_order_under_all_fails_before_any_statement(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--a-max", "3",
+                                 "--order", "0", "--cache-path", str(tmp_path / "b.json"))
+        assert code == 2 and out == ""
+        assert "lemma_n_div:" not in err
+        assert err == "error: order 0 is below 1 for prop1_idc\n"
+        assert not (tmp_path / "b.json").exists()  # nor is the Bernoulli table built
+
     def test_all_builds_each_column_once_per_command(self, capsys, tmp_path, monkeypatch):
         # counted under every name the kernel has, so a base-2 column built
         # through genocchi_table counts too

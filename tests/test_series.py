@@ -307,6 +307,18 @@ class TestIdcReciprocalScaled:
             assert all(type(s) is int for s in result)
             assert result == scaled_reciprocal_by_ordinary(f)
 
+    def test_orders_change_between_calls(self):
+        # the binomials are shared between calls of one order: a change of
+        # order, or a caller that edits its result, must not leak into the
+        # next call
+        rng = random.Random(31)
+        for order in (30, 5, 45, 0, 30):
+            f = [int(c) for c in random_idc(rng, order).coeffs]
+            assert idc_reciprocal_scaled(f) == scaled_reciprocal_by_ordinary(f), order
+        result = idc_reciprocal_scaled(f)
+        result[3] += 1
+        assert idc_reciprocal_scaled(f) == scaled_reciprocal_by_ordinary(f)
+
     def test_plain_reciprocal_is_not_closed(self):
         # the scaling is doing real work: without it the reciprocal of an
         # IDC series usually leaves the integers
