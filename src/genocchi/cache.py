@@ -3,11 +3,12 @@
 The format is a single JSON object: format_version (currently 1),
 max_index, and one entry per index with numerator and denominator as
 decimal strings, so arbitrarily large values survive any JSON parser.
-Loading validates the shape and compares every entry with the
-tangent-number kernel's value; a file that fails any of this raises
-CacheCorruptionError naming the file and the first offending entry
-instead of returning bad numbers. A file that cannot be written raises
-CacheError naming the file.
+A file is valid exactly when each entry equals the one
+save_bernoulli_cache writes for the tangent-number kernel's table:
+canonical decimal strings (no whitespace, underscores, leading zeros or
+non-ASCII digits) and no other keys. A loaded table is the kernel's own.
+A bad file raises CacheCorruptionError naming the file (a bad entry i
+as "entry i fails re-derivation"); an unwritable one raises CacheError.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 from .special import BernoulliTable, _tangent_bernoulli, bernoulli_table
@@ -33,6 +32,13 @@ class CacheCorruptionError(CacheError):
     it applies, the entry index."""
 
 
+def _entries(table: BernoulliTable) -> list[dict]:
+    return [
+        {"index": i, "num": str(v.numerator), "den": str(v.denominator)}
+        for i, v in enumerate(table.values)
+    ]
+
+
 def save_bernoulli_cache(path, table: BernoulliTable) -> None:
     """Write the table to path atomically: a temp file of its own in the same
     directory, then replace, so concurrent writers never share a temp file."""
@@ -40,10 +46,7 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "max_index": table.max_index,
-        "entries": [
-            {"index": i, "num": str(v.numerator), "den": str(v.denominator)}
-            for i, v in enumerate(table.values)
-        ],
+        "entries": _entries(table),
     }
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -59,37 +62,12 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
         raise CacheError(f"cache file {p}: cannot write: {exc}") from exc
 
 
-def _entry_value(path: Path, entry, expect_index: int) -> Fraction:
-    try:
-        index, num, den = entry["index"], entry["num"], entry["den"]
-        # int() would also take a JSON number or boolean: 2.7 as den reads 2
-        if type(index) is not int or type(num) is not str or type(den) is not str:
-            raise TypeError("index must be an int, num and den decimal strings")
-        numerator = int(num)
-        denominator = int(den)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise CacheCorruptionError(
-            f"cache file {path}: malformed entry {expect_index}: {exc}"
-        ) from exc
-    if index != expect_index:
-        raise CacheCorruptionError(
-            f"cache file {path}: entry {expect_index} carries index {index}"
-        )
-    if denominator <= 0:
-        raise CacheCorruptionError(
-            f"cache file {path}: entry {expect_index} has denominator {denominator}"
-        )
-    if gcd(numerator, denominator) != 1:
-        raise CacheCorruptionError(
-            f"cache file {path}: entry {expect_index} is not in lowest terms"
-        )
-    return Fraction(numerator, denominator)
-
-
 def load_bernoulli_cache(path) -> BernoulliTable:
-    """Read and validate a cache file, re-deriving every entry with the
-    tangent-number kernel. The kernel alone suffices here: the table it
-    checks was cross-checked against the Genocchi column when it was built."""
+    """The tangent-number kernel's table to the file's max_index, once every
+    entry equals the one save_bernoulli_cache writes for it. The shape is
+    checked first, so the kernel never runs past the entries the file holds.
+    The kernel alone suffices: the table it checks was cross-checked against
+    the Genocchi column when it was built."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="ascii"))
@@ -108,20 +86,15 @@ def load_bernoulli_cache(path) -> BernoulliTable:
     entries = raw.get("entries")
     if type(max_index) is not int or not isinstance(entries, list):
         raise CacheCorruptionError(f"cache file {p}: missing max_index or entries")
-    if len(entries) != max_index + 1:
+    if max_index < 0 or len(entries) != max_index + 1:
         raise CacheCorruptionError(
             f"cache file {p}: {len(entries)} entries for max_index {max_index}"
         )
-    values = [_entry_value(p, entry, i) for i, entry in enumerate(entries)]
-    try:
-        table = BernoulliTable(tuple(values))
-    except ValueError as exc:
-        raise CacheCorruptionError(f"cache file {p}: {exc}") from exc
-    for i, (value, derived) in enumerate(zip(values, _tangent_bernoulli(max_index))):
-        if value != derived:
-            raise CacheCorruptionError(
-                f"cache file {p}: entry {i} fails re-derivation"
-            )
+    table = BernoulliTable(tuple(_tangent_bernoulli(max_index)))
+    for i, (entry, expected) in enumerate(zip(entries, _entries(table))):
+        # a float or boolean index compares equal to its int: JSON true == 1
+        if entry != expected or type(entry["index"]) is not int:
+            raise CacheCorruptionError(f"cache file {p}: entry {i} fails re-derivation")
     return table
 
 

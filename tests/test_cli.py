@@ -159,7 +159,15 @@ class TestBernoulliCommand:
         path.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
-        assert str(path) in err and "malformed entry 1" in err
+        assert str(path) in err and "entry 1 fails re-derivation" in err
+        # int() reads each of these strings as the right value
+        raw["entries"][1]["den"] = "0_2"
+        raw["entries"][1]["num"] = " -1\n"
+        raw["entries"][0]["num"] = "\u0661"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
+        assert code == 2
+        assert str(path) in err and "entry 0 fails re-derivation" in err
         path.write_text("[]")
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
