@@ -1,14 +1,16 @@
 """Disk cache for Bernoulli tables.
 
-The format is a single JSON object: format_version (currently 1),
-max_index, and one entry per index with numerator and denominator as
-decimal strings, so arbitrarily large values survive any JSON parser.
-A file is valid exactly when each entry equals the one
-save_bernoulli_cache writes for the tangent-number kernel's table:
-canonical decimal strings (no whitespace, underscores, leading zeros or
-non-ASCII digits) and no other keys. A loaded table is the kernel's own.
-A bad file raises CacheCorruptionError naming the file (a bad entry i
-as "entry i fails re-derivation"); an unwritable one raises CacheError.
+The format is one JSON object on one line, from json's C encoder:
+format_version (currently 1), max_index, and one entry per index with
+numerator and denominator as decimal strings, so arbitrarily large values
+survive any JSON parser. A file is valid, indented or not, exactly when
+each entry equals the one save_bernoulli_cache writes for the
+tangent-number kernel's table: canonical decimal strings (no whitespace,
+underscores, leading zeros or non-ASCII digits) and no other keys. A
+loaded table is the kernel's own. A bad file raises CacheCorruptionError
+naming the file (a bad entry i as "entry i fails re-derivation"); an
+unwritable one, or values past the int string digit limit (B_2064 on, by
+default) before sys.set_int_max_str_digits(0), raise CacheError.
 """
 
 from __future__ import annotations
@@ -32,11 +34,14 @@ class CacheCorruptionError(CacheError):
     it applies, the entry index."""
 
 
-def _entries(table: BernoulliTable) -> list[dict]:
-    return [
-        {"index": i, "num": str(v.numerator), "den": str(v.denominator)}
-        for i, v in enumerate(table.values)
-    ]
+def _entries(table: BernoulliTable, p: Path) -> list[dict]:
+    try:  # str() raises ValueError past the interpreter's int string digit limit
+        return [
+            {"index": i, "num": str(v.numerator), "den": str(v.denominator)}
+            for i, v in enumerate(table.values)
+        ]
+    except ValueError as exc:
+        raise CacheError(f"cache file {p}: values need sys.set_int_max_str_digits(0)") from exc
 
 
 def save_bernoulli_cache(path, table: BernoulliTable) -> None:
@@ -46,14 +51,14 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "max_index": table.max_index,
-        "entries": _entries(table),
+        "entries": _entries(table, p),
     }
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(json.dumps(payload, indent=1))
+                fh.write(json.dumps(payload))
             os.replace(tmp, p)
         except BaseException:
             os.unlink(tmp)
@@ -91,7 +96,7 @@ def load_bernoulli_cache(path) -> BernoulliTable:
             f"cache file {p}: {len(entries)} entries for max_index {max_index}"
         )
     table = BernoulliTable(tuple(_tangent_bernoulli(max_index)))
-    for i, (entry, expected) in enumerate(zip(entries, _entries(table))):
+    for i, (entry, expected) in enumerate(zip(entries, _entries(table, p))):
         # a float or boolean index compares equal to its int: JSON true == 1
         if entry != expected or type(entry["index"]) is not int:
             raise CacheCorruptionError(f"cache file {p}: entry {i} fails re-derivation")

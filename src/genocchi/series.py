@@ -11,13 +11,13 @@ again IDC whenever f is.
 
 series_reciprocal serves the column path alone. It clears denominators
 and runs one back-substitution in Python ints. With d the lcm of the
-denominators and a_k = d f_k, the reciprocal of f is that of a / d, whose
-coefficients satisfy r_0 = d / c and
-r_n = -(1/c) sum_{k=1..n} C(n,k) a_k r_{n-k} for c = a_0. The kernel
-carries each r_n as p_n / c^e_n with an integer p_n and e_n as small as
-the recurrence allows: the sum for r_n runs over the integers
-p_m c^(top - e_m), every earlier r_m over one power c^top, and c is
-divided out of the result while it divides. top is raised only when
+denominators and a_k = d f_k, the reciprocal of f is that of a / d: with
+c = a_0, r_0 = d / c and r_n = -(1/c) sum_{m<n} C(n,m) a_{n-m} r_m, summed
+over the nonzero r_m alone, since the base-2 column's r is zero at every
+even n >= 2 (the power sums have no zero a_k). Each r_n is carried as
+p_n / c^e_n with an integer p_n and e_n as small as the recurrence
+allows: the sum runs over p_m c^(top - e_m), every r_m over one power
+c^top, and c is divided out while it divides. top is raised only when
 some e_n exceeds it, which is rare: for the power sums behind the
 Genocchi columns the largest e_n is 6 at (a, N) = (20, 1000) and 10 at
 (2, 1000), where a denominator c^(n+1) would put about n log2(c) more
@@ -90,23 +90,20 @@ def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
 
 def _back_substitute(a: list[int], s0: int) -> tuple[list[int], list[int]]:
     """The reciprocal r of the series a / s0, for c = a_0 != 0, as integers
-    p_n and exponents e_n with r_n = p_n / c^e_n (see the module docstring).
-    Each e_n is as small as the recurrence allows: c does not divide p_n
-    unless e_n = 0."""
+    p_n and exponents e_n with r_n = p_n / c^e_n, summed over the nonzero
+    r_m only, so the base-2 column skips its zero half (module docstring).
+    Each e_n is as small as the recurrence allows: c | p_n only if e_n = 0."""
     c = a[0]
-    terms = []  # (k, -a_k) for the nonzero a_k, 1 <= k <= n; the 1/c goes to e_n
     p, e = [], [0] * len(a)
-    scaled = []  # p_m c^(top - e_m): every r_m so far over c^top
+    scaled = []  # (m, p_m c^(top - e_m)): every nonzero r_m so far over c^top
     top = 0
     row = [1]  # C(n, 0..n), one Pascal row per n
     for n in range(len(a)):
         if n:
-            if a[n]:
-                terms.append((n, -a[n]))
             row = [1, *map(add, row[1:], row), 1]
         acc = 0 if n else s0  # r_0 = s0 / c
-        for k, w in terms:
-            acc += row[k] * w * scaled[n - k]
+        for m, x in scaled:
+            acc -= row[m] * a[n - m] * x
         # r_n = acc / c^(top + 1)
         e_n = top + 1
         while e_n:
@@ -116,11 +113,12 @@ def _back_substitute(a: list[int], s0: int) -> tuple[list[int], list[int]]:
             acc, e_n = q, e_n - 1
         if e_n > top:
             step = c ** (e_n - top)
-            scaled = [x * step for x in scaled]
+            scaled = [(m, x * step) for m, x in scaled]
             top = e_n
         p.append(acc)
         e[n] = e_n
-        scaled.append(acc * c ** (top - e_n) if top > e_n else acc)
+        if acc:
+            scaled.append((n, acc * c ** (top - e_n) if top > e_n else acc))
     return p, e
 
 

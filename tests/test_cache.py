@@ -1,6 +1,7 @@
 """Cache round trips and corruption detection."""
 
 import json
+import sys
 
 import pytest
 
@@ -61,6 +62,37 @@ class TestRoundTrip:
         assert raw["format_version"] == 1
         assert raw["max_index"] == 12
         assert raw["entries"][12] == {"index": 12, "num": "-691", "den": "2730"}
+
+    def test_indented_file_loads(self, tmp_path):
+        # earlier writers indented the file; the loader compares parsed
+        # entries, so the whitespace between tokens does not matter
+        path = tmp_path / "b.json"
+        table = bernoulli_table(20)
+        save_bernoulli_cache(path, table)
+        assert "\n" not in path.read_text()
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        assert load_bernoulli_cache(path) == table
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int string digit limit"
+    )
+    def test_values_past_the_digit_limit_raise_cache_error(self, tmp_path):
+        # B_598 has a 931-digit numerator: past the lowest limit, 640 digits
+        table = bernoulli_table(599)
+        path = tmp_path / "b.json"
+        save_bernoulli_cache(path, table)  # written with the limit lifted
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(CacheError, match="set_int_max_str_digits") as exc:
+                save_bernoulli_cache(tmp_path / "c.json", table)
+            assert type(exc.value) is CacheError and "c.json" in str(exc.value)
+            with pytest.raises(CacheError, match="set_int_max_str_digits") as exc:
+                load_bernoulli_cache(path)
+            assert type(exc.value) is CacheError and "b.json" in str(exc.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestCorruption:

@@ -178,6 +178,11 @@ class TestReciprocal:
             # inputs whose numerators p_n take c out more than once, or
             # need the common power of c raised
             exp_sum_series(2, 30),  # r_n = 0 at every even n >= 2
+            # an even series at c = 2: r_n = 0 at every odd n, and e_n
+            # reaches 3 while zero r_n are held back from the sums
+            EgfSeries((2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)),
+            # top is raised at n = 1, 3, 7, 15, 31, 63 and 127
+            exp_sum_series(2, 130),
             exp_sum_series(6, 40),
             # c = 6 against d = 5, and c = 6 against d = 4 sharing a factor
             EgfSeries((Fraction(6, 5), Fraction(3, 5), Fraction(-2, 5), Fraction(1, 5),
