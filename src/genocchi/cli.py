@@ -10,12 +10,17 @@ a --mutate bump the statement cannot detect, output that cannot be
 written (quietly when the reader closed the pipe), or running out of
 memory, 3 an internal cross-check failed or any other unexpected
 exception (a bug, never a counterexample; its traceback goes to stderr).
+
+One parser per process: `main` builds it on its first call and keeps it,
+and dispatches by command name, looking `cmd_<command>` up in this module
+at call time, so a command function replaced after that call still runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -207,6 +212,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on each call; `main` keeps the first one it builds."""
     parser = argparse.ArgumentParser(
         prog="genocchi",
         description=(
@@ -219,13 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern = sub.add_parser("bernoulli", help="emit B_0..B_n as exact rationals")
     p_bern.add_argument("--n-max", type=int, required=True, help="largest index to emit")
     p_bern.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bern.set_defaults(func=cmd_bernoulli)
 
     p_gen = sub.add_parser("genocchi", help="emit G_{n,a} for n = 0..n-max")
     p_gen.add_argument("--n-max", type=int, required=True, help="largest index to emit")
     p_gen.add_argument("--a", type=int, default=2, help="base (default 2, the classical numbers)")
     p_gen.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_gen.set_defaults(func=cmd_genocchi)
 
     p_ver = sub.add_parser("verify", help="check statements over an (n, a) grid")
     p_ver.add_argument(
@@ -245,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="self-test: bump one table value and expect a failure",
     )
     p_ver.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_ver.set_defaults(func=cmd_verify)
 
     # the two subcommands that read the Bernoulli cache; last, as --help lists it
     for p in (p_bern, p_ver):
@@ -259,17 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     # exact values outgrow Python's default 4300-digit limit on int <-> str
     # conversion (3.10.7 and later), in output and in cache files alike
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.func(args)
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a write that fails must not pass for a result
         return code
     except BrokenPipeError:

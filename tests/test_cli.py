@@ -46,6 +46,15 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def without_elapsed(out, fmt):
+    """Verify output with each report's elapsed_s left out."""
+    if fmt == "json":
+        return [{k: v for k, v in r.items() if k != "elapsed_s"} for r in json.loads(out)]
+    rows = parse_csv(out)
+    i = rows[0].index("elapsed_s")
+    return [row[:i] + row[i + 1:] for row in rows]
+
+
 def canonical_reports_from_csv(text):
     """Fold the two row kinds of the verify CSV back into report dicts."""
     rows = parse_csv(text)
@@ -465,6 +474,44 @@ class TestVerifyCommand:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+class TestSharedParser:
+    """main builds one parser per process; no call may leave anything in it
+    that changes a later call."""
+
+    def test_repeated_calls_match_their_first_run(self, capsys, tmp_path, monkeypatch):
+        assert cli.build_parser() is not cli.build_parser()
+        cache = str(tmp_path / "b.json")
+        calls = [["genocchi", "--n-max", "x"], ["--help"]]
+        for fmt in ("csv", "json"):
+            calls += [
+                ["bernoulli", "--n-max", "20", "--format", fmt, "--cache-path", cache],
+                ["genocchi", "--n-max", "20", "--a", "3", "--format", fmt],
+                ["verify", "all", "--n-max", "12", "--a-max", "3", "--format", fmt,
+                 "--cache-path", cache],
+            ]
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        first = {}
+        for argv in calls + calls[::-1]:
+            code, out, _ = run_cli(capsys, *argv)
+            if argv[0] == "verify":
+                out = without_elapsed(out, argv[argv.index("--format") + 1])
+            assert first.setdefault(tuple(argv), (code, out)) == (code, out), argv
+        assert [first[tuple(argv)][0] for argv in calls] == [2, 0] + [0] * 6
+        assert len(built) == 1
+
+    def test_dispatch_looks_up_the_command_at_call_time(self, capsys, monkeypatch):
+        # what keeps the benchmark's cli.cmd_* spans counting once the
+        # parser outlives the wrappers installed after it was built
+        assert run_cli(capsys, "genocchi", "--n-max", "3")[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_genocchi", lambda args: seen.append(args.n_max) or 0)
+        assert run_cli(capsys, "genocchi", "--n-max", "5") == (0, "", "")
+        assert seen == [5]
 
 
 DEFAULT_GRID_CSV = (
