@@ -4,13 +4,14 @@ The format is one JSON object on one line, from json's C encoder:
 format_version (currently 1), max_index, and one entry per index with
 numerator and denominator as decimal strings, so arbitrarily large values
 survive any JSON parser. A file is valid, indented or not, exactly when
-each entry equals the one save_bernoulli_cache writes for the
-tangent-number kernel's table: canonical decimal strings (no whitespace,
-underscores, leading zeros or non-ASCII digits) and no other keys. A
-loaded table is the kernel's own. A bad file raises CacheCorruptionError
-naming the file (a bad entry i as "entry i fails re-derivation"); an
-unwritable one, or values past the int string digit limit (B_2064 on, by
-default) before sys.set_int_max_str_digits(0), raise CacheError.
+each entry equals the one save_bernoulli_cache writes for the table of
+the Bernoulli kernel, Seidel's triangle: canonical decimal strings (no
+whitespace, underscores, leading zeros or non-ASCII digits) and no other
+keys. A loaded table is the kernel's own. A bad file raises
+CacheCorruptionError naming the file (a bad entry i as "entry i fails
+re-derivation"); an unwritable one, or values past the int string digit
+limit (B_2064 on, by default) before sys.set_int_max_str_digits(0), raise
+CacheError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .special import BernoulliTable, _tangent_bernoulli, bernoulli_table
+from .special import BernoulliTable, _seidel_bernoulli, bernoulli_table
 
 CACHE_FORMAT_VERSION = 1
 
@@ -68,7 +69,7 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
 
 
 def load_bernoulli_cache(path) -> BernoulliTable:
-    """The tangent-number kernel's table to the file's max_index, once every
+    """The table from Seidel's triangle to the file's max_index, once every
     entry equals the one save_bernoulli_cache writes for it. The shape is
     checked first, so the kernel never runs past the entries the file holds.
     The kernel alone suffices: the table it checks was cross-checked against
@@ -95,7 +96,7 @@ def load_bernoulli_cache(path) -> BernoulliTable:
         raise CacheCorruptionError(
             f"cache file {p}: {len(entries)} entries for max_index {max_index}"
         )
-    table = BernoulliTable(tuple(_tangent_bernoulli(max_index)))
+    table = BernoulliTable(tuple(_seidel_bernoulli(max_index)))
     for i, (entry, expected) in enumerate(zip(entries, _entries(table, p))):
         # a float or boolean index compares equal to its int: JSON true == 1
         if entry != expected or type(entry["index"]) is not int:

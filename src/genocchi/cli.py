@@ -268,18 +268,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # exact values outgrow Python's default 4300-digit limit on int <-> str
-    # conversion (3.10.7 and later), in output and in cache files alike
+    # exact values outgrow the 4300-digit int <-> str limit (3.10.7 and later)
+    # in output and cache files; the caller's limit (CVE-2020-10735) is put back
     if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a write that fails must not pass for a result
         return code
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return exc.code if isinstance(exc.code, int) else 2
     except BrokenPipeError:
         # a reader that stops early (`| head`) is no error to report, but
         # the output is incomplete
@@ -301,6 +301,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -1,10 +1,10 @@
 """Bernoulli numbers, Genocchi numbers, and their generalization to an
 integer base a >= 2, each computable by two independent routes.
 
-The Bernoulli numbers come from one integer kernel, the tangent numbers,
-and every table is checked against the base-2 Genocchi column through
-G_n = 2 (1 - 2^n) B_n; the disk cache re-derives its entries from the same
-kernel.
+The Bernoulli numbers come from one integer kernel, Seidel's triangle of
+Genocchi numbers, and every table is checked against the base-2 Genocchi
+column of the series route through G_n = 2 (1 - 2^n) B_n; the disk cache
+re-derives its entries from the same kernel.
 
 Conventions, fixed by the generating functions used here:
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import add
 
@@ -61,39 +62,34 @@ class BernoulliTable:
         return self.values[n]
 
 
-def _tangent_bernoulli(max_index: int) -> list[Fraction]:
-    """B_0..B_max_index from the tangent numbers T_1..T_K, K = max_index // 2,
-    by algorithm TangentNumbers of Brent & Harvey (arXiv:1108.0286), which
-    runs in Python ints; then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
-    half = max_index // 2
-    t = [0, 1] + [0] * (half - 1)
-    for k in range(2, half + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, half + 1):
-        for j in range(k, half + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+def _seidel_bernoulli(max_index: int) -> list[Fraction]:
+    """B_0..B_max_index from Seidel's triangle (Seidel 1877; Dumont 1974):
+    each row holds the prefix sums of the previous row read backwards, with a
+    leading 0 on odd rows; row 2k - 2 ends in |G_2k| = 2 (4^k - 1) |B_2k|."""
     values = [Fraction(1), Fraction(-1, 2)]
-    for k in range(1, half + 1):
-        four_k = 4**k
-        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+    row = [1]
+    for k in range(1, max_index // 2 + 1):
+        b = Fraction(row[-1], 2 * (4**k - 1))
         values += [b if k % 2 else -b, Fraction(0)]
+        row = list(accumulate(reversed(list(accumulate(reversed(row), initial=0)))))
     return values[: max_index + 1]
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:
-    """B_0..B_max_index from the tangent-number kernel, each B_n (n >= 1)
+    """B_0..B_max_index from Seidel's triangle, each B_n (n >= 1)
     cross-checked against the base-2 Genocchi column through
     G_n = 2 (1 - 2^n) B_n before being returned. That column inverts
-    1 + e^t in integers and shares no algebra with the tangent recurrence."""
+    1 + e^t in integers and shares no algebra with the triangle's sums."""
     if max_index < 0:
         raise ValueError(f"max_index must be nonnegative, got {max_index}")
-    values = _tangent_bernoulli(max_index)
+    values = _seidel_bernoulli(max_index)
     column = genocchi_table(max_index)
     for n in range(1, max_index + 1):
         b = values[n]
         if column[n] * b.denominator != 2 * (1 - 2**n) * b.numerator:
             raise ConsistencyError(
-                f"tangent-number B_{n} = {b} disagrees with G_{n} = {column[n]}"
+                f"B_{n} = {b} from Seidel's triangle disagrees with "
+                f"G_{n} = {column[n]} from the base-2 series column"
             )
     return BernoulliTable(tuple(values))
 

@@ -8,7 +8,7 @@ a = 2 column; this script checks everything, by the route chosen:
   series     each column from the generating function (gen_genocchi_table),
              and B_n = G_n / (2 (1 - 2^n)) from the base-2 column
   transform  each column by the Bernoulli-sum route (gen_genocchi_bernoulli)
-             over the tangent-number table, and B from bernoulli_table
+             over the table from Seidel's triangle, and B from bernoulli_table
 
 Run from the repository root:
 

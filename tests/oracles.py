@@ -25,6 +25,27 @@ def bernoulli_recurrence(n_max: int) -> list[Fraction]:
     return values
 
 
+def bernoulli_by_tangent(n_max: int) -> list[Fraction]:
+    """B_0..B_n_max from the tangent numbers T_1..T_K, K = n_max // 2, by
+    algorithm TangentNumbers of Brent & Harvey (arXiv:1108.0286), which
+    runs in Python ints; then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    Its products share no algebra with the package's kernel, Seidel's
+    triangle, which only adds."""
+    half = n_max // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, half + 1):
+        four_k = 4**k
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        values += [b if k % 2 else -b, Fraction(0)]
+    return values[: n_max + 1]
+
+
 def ordinary_mul(c: list[Fraction], d: list[Fraction]) -> list[Fraction]:
     """Cauchy product of ordinary coefficient lists, same truncation."""
     n_max = len(c) - 1

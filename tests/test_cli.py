@@ -586,8 +586,9 @@ class TestByteGate:
 
 class TestValuesPastTheDigitLimit:
     """Python caps int <-> str conversion (4300 digits by default); exact
-    output must not stop there. The child runs with the lowest cap, 640
-    digits, which B_500 (743 digits) and G_{400,20} (1069 digits) pass."""
+    output must not stop there. Each case runs with the lowest cap, 640
+    digits, which B_500 (743 digits) and G_{400,20} (1069 digits) pass: in a
+    child process, or in this one, where main must put the cap back."""
 
     LIMIT = {"PYTHONINTMAXSTRDIGITS": "640"}
 
@@ -613,6 +614,25 @@ class TestValuesPastTheDigitLimit:
         assert done.returncode == 0, done.stderr
         values = json.loads(done.stdout)["values"]
         assert [int(v) for v in values] == gen_genocchi_table(20, 400)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int string digit limit"
+    )
+    def test_main_in_process_restores_the_callers_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                capsys, "genocchi", "--n-max", "400", "--a", "20", "--format", "json"
+            )
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0, err
+        assert after == 640
+        values = json.loads(out)["values"]
+        assert values == [str(g) for g in gen_genocchi_table(20, 400)]
+        assert max(map(len, values)) > 640
 
 
 class TestRoundTrips:

@@ -2,6 +2,8 @@
 denominator structure of the Bernoulli numbers."""
 
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from oracles import (
     BERNOULLI_FROZEN,
     GEN_GENOCCHI_FROZEN,
     GENOCCHI_FROZEN,
+    bernoulli_by_tangent,
     bernoulli_recurrence,
     bernoulli_sum,
     gen_genocchi_by_ordinary,
@@ -70,8 +73,16 @@ class TestBernoulliTable:
             return column
 
         monkeypatch.setattr(special, "genocchi_table", off_by_one)
-        with pytest.raises(ConsistencyError, match="B_8"):
+        with pytest.raises(ConsistencyError, match="B_8") as exc:
             bernoulli_table(10)
+        # the message names both routes and blames neither
+        assert "from Seidel's triangle" in str(exc.value)
+        assert "G_8 = 18 from the base-2 series column" in str(exc.value)
+
+    @pytest.mark.parametrize("max_index", [*range(13), 300])
+    def test_kernel_matches_tangent_numbers(self, max_index):
+        # the short tables pin the truncation at small max_index
+        assert special._seidel_bernoulli(max_index) == bernoulli_by_tangent(max_index)
 
     def test_max_index(self, bern64):
         assert bern64.max_index == 64
@@ -93,6 +104,37 @@ class TestBernoulliTable:
         assert coerced.values == (1, Fraction(-1, 2), Fraction(1, 6))
         assert type(coerced.values) is tuple
         assert all(type(v) is Fraction for v in coerced.values)
+
+
+def reached(fn, *args):
+    """The code objects under src/genocchi that fn(*args) runs, as
+    (file, first line, name), recorded by a profile hook."""
+    package = os.path.dirname(special.__file__) + os.sep
+    seen = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            seen.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+class TestRouteIndependence:
+    def test_bernoulli_kernel_shares_no_code_with_its_cross_check_column(self):
+        # bernoulli_table compares the two; a column built from the kernel,
+        # or a kernel that read the column, would agree with itself
+        kernel = reached(special._seidel_bernoulli, 60)
+        column = reached(genocchi_table, 60)
+        assert "_seidel_bernoulli" in {name for _, _, name in kernel}
+        assert "gen_genocchi_table" in {name for _, _, name in column}
+        assert kernel.isdisjoint(column)
 
 
 class TestGenocchi:
