@@ -5,11 +5,13 @@ Three subcommands: `bernoulli` and `genocchi` emit number tables,
 diagnostics go to stderr. In JSON output every number that can grow
 without bound is a decimal string, never a native number, so output
 survives parsers with 53-bit integers. Exit codes: 0 success, 1 at
-least one verification failure, 2 usage, configuration or cache error,
-a --mutate bump the statement cannot detect, output that cannot be
-written (quietly when the reader closed the pipe), or running out of
-memory, 3 an internal cross-check failed or any other unexpected
-exception (a bug, never a counterexample; its traceback goes to stderr).
+least one verification failure, 2 usage, configuration or cache error
+(a command that reads the Bernoulli cache with no --cache-path, no
+GENOCCHI_CACHE and no home directory included), a --mutate bump the
+statement cannot detect, output that cannot be written (quietly when the
+reader closed the pipe), or running out of memory, 3 an internal
+cross-check failed or any other unexpected exception (a bug, never a
+counterexample; its traceback goes to stderr).
 
 One parser per process: `main` builds it on its first call and keeps it,
 and dispatches by command name, looking `cmd_<command>` up in this module
@@ -43,7 +45,13 @@ def default_cache_path() -> Path:
     env = os.environ.get("GENOCCHI_CACHE")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "genocchi" / "bernoulli.json"
+    try:  # no HOME and no passwd entry for this user
+        home = Path.home()
+    except RuntimeError as exc:
+        raise CacheError(
+            "no home directory for the Bernoulli cache; give --cache-path or set GENOCCHI_CACHE"
+        ) from exc
+    return home / ".cache" / "genocchi" / "bernoulli.json"
 
 
 def render_bernoulli_csv(table: BernoulliTable, n_max: int) -> str:

@@ -65,14 +65,17 @@ class BernoulliTable:
 def _seidel_bernoulli(max_index: int) -> list[Fraction]:
     """B_0..B_max_index from Seidel's triangle (Seidel 1877; Dumont 1974):
     each row holds the prefix sums of the previous row read backwards, with a
-    leading 0 on odd rows; row 2k - 2 ends in |G_2k| = 2 (4^k - 1) |B_2k|."""
-    values = [Fraction(1), Fraction(-1, 2)]
-    row = [1]
-    for k in range(1, max_index // 2 + 1):
-        b = Fraction(row[-1], 2 * (4**k - 1))
-        values += [b if k % 2 else -b, Fraction(0)]
-        row = list(accumulate(reversed(list(accumulate(reversed(row), initial=0)))))
-    return values[: max_index + 1]
+    leading 0 on odd rows; row 2k - 2 ends in |G_2k| = 2 (4^k - 1) |B_2k|.
+    Each B_2k is built once, signed on its numerator, and the triangle stops
+    at the row that ends in the last |G_2k| the table needs."""
+    values = [Fraction(1), Fraction(-1, 2), *[Fraction(0)] * (max_index - 1)][: max_index + 1]
+    row, d = [1], 6  # row n - 2, which ends in |G_n|, and d = 2 (2^n - 1)
+    for n in range(2, max_index + 1, 2):
+        if n > 2:  # two rows on, to row n - 2
+            row = list(accumulate(reversed(list(accumulate(reversed(row), initial=0)))))
+            d = 4 * d + 6
+        values[n] = Fraction(row[-1] if n % 4 == 2 else -row[-1], d)
+    return values
 
 
 def bernoulli_table(max_index: int) -> BernoulliTable:

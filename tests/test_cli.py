@@ -9,6 +9,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from genocchi.cli import (
     render_reports_json,
 )
 from genocchi.exact import ConsistencyError
-from genocchi import cli, special, verify
+from genocchi import cache, cli, special, verify
 from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
@@ -153,6 +154,24 @@ class TestBernoulliCommand:
         code, _, _ = run_cli(capsys, "bernoulli", "--n-max", "4")
         assert code == 0
         assert path.exists()
+
+    def test_no_home_directory_exits_two(self, capsys, monkeypatch):
+        # Path.home() raises when HOME is unset and the user has no passwd entry
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("GENOCCHI_CACHE", raising=False)
+        monkeypatch.setattr(Path, "home", staticmethod(no_home))
+        verify_all = ["verify", "all", "--n-max", "12", "--a-max", "3"]
+        for argv in (["bernoulli", "--n-max", "3"], verify_all):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                "error: no home directory for the Bernoulli cache; "
+                "give --cache-path or set GENOCCHI_CACHE\n"
+            ), argv
+        code, out, _ = run_cli(capsys, "genocchi", "--n-max", "3")
+        assert code == 0 and out == "n,value\n0,0\n1,1\n2,-1\n3,0\n"
 
     def test_corrupt_cache_exits_two_and_names_the_file(self, capsys, tmp_path):
         path = tmp_path / "b.json"
@@ -474,6 +493,55 @@ class TestVerifyCommand:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+def bumped_at(n, fn):
+    """fn with entry n of the list it returns raised by 1."""
+    def bumped(max_index):
+        values = fn(max_index)
+        if max_index >= n:
+            values[n] += 1
+        return values
+
+    return bumped
+
+
+PROP2_SMALL = ["verify", "prop2_equiv", "--n-max", "12", "--a-max", "3"]
+
+
+class TestFaultMatrix:
+    """One wrong value in a kernel on the Bernoulli side, and what each
+    cache state makes of it. A cold cache builds the table and checks it
+    against the base-2 series column; a warm one, written before the fault,
+    is re-derived by the Bernoulli kernel alone."""
+
+    @pytest.mark.parametrize("fault, state, argv, code, fragment", [
+        ("kernel", "cold", ["bernoulli", "--n-max", "12"], 3,
+         "B_8 = 29/30 from Seidel's triangle disagrees with G_8 = 17"),
+        ("kernel", "warm", ["bernoulli", "--n-max", "12"], 2, "entry 8 fails re-derivation"),
+        ("column", "cold", PROP2_SMALL, 3,
+         "B_8 = -1/30 from Seidel's triangle disagrees with G_8 = 18"),
+        ("column", "warm", PROP2_SMALL, 1, "FAIL prop2_equiv n=8 a=2"),
+    ], ids=["kernel-cold", "kernel-warm", "column-cold", "column-warm"])
+    def test_one_bumped_value(self, capsys, monkeypatch, tmp_path, fault, state, argv, code,
+                              fragment):
+        path = tmp_path / "b.json"
+        if state == "warm":
+            save_bernoulli_cache(path, bernoulli_table(12))
+        stamp = path.read_bytes() if state == "warm" else None
+        # each module that imports the kernel by name gets the bumped one
+        if fault == "kernel":
+            name, modules = "_seidel_bernoulli", (special, cache)
+        else:
+            name, modules = "genocchi_table", (special, verify)
+        bumped = bumped_at(8, getattr(special, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, bumped)
+        got, _, err = run_cli(capsys, *argv, "--cache-path", str(path))
+        assert got == code
+        assert fragment in err
+        # no run rewrites the cache: a failed build writes none
+        assert (path.read_bytes() if path.exists() else None) == stamp
 
 
 class TestSharedParser:

@@ -10,6 +10,7 @@ import pytest
 
 from genocchi import special
 from genocchi.exact import ConsistencyError, factorize, is_prime
+from genocchi.series import idc_reciprocal_scaled
 from genocchi.special import (
     BernoulliTable,
     bernoulli_table,
@@ -29,6 +30,7 @@ from oracles import (
     bernoulli_sum,
     gen_genocchi_by_ordinary,
     genocchi_by_ordinary,
+    scaled_reciprocal_by_ordinary,
 )
 
 
@@ -79,7 +81,7 @@ class TestBernoulliTable:
         assert "from Seidel's triangle" in str(exc.value)
         assert "G_8 = 18 from the base-2 series column" in str(exc.value)
 
-    @pytest.mark.parametrize("max_index", [*range(13), 300])
+    @pytest.mark.parametrize("max_index", [*range(41), 300])
     def test_kernel_matches_tangent_numbers(self, max_index):
         # the short tables pin the truncation at small max_index
         assert special._seidel_bernoulli(max_index) == bernoulli_by_tangent(max_index)
@@ -135,6 +137,22 @@ class TestRouteIndependence:
         assert "_seidel_bernoulli" in {name for _, _, name in kernel}
         assert "gen_genocchi_table" in {name for _, _, name in column}
         assert kernel.isdisjoint(column)
+
+    @pytest.mark.parametrize("a", [2, 5])
+    def test_series_column_shares_no_code_with_the_bernoulli_sum_column(self, a, bern64):
+        # prop2_equiv compares the two; the table, built before recording
+        # starts, is the Bernoulli-sum route's declared input
+        series = reached(gen_genocchi_table, a, 40)
+        transform = reached(gen_genocchi_bernoulli, a, 40, bern64)
+        assert "gen_genocchi_table" in {name for _, _, name in series}
+        assert "gen_genocchi_bernoulli" in {name for _, _, name in transform}
+        assert series.isdisjoint(transform)
+
+    def test_scaled_reciprocal_oracle_reaches_no_package_code(self):
+        f = [2] + [1] * 20  # e^t + 1
+        kernel = reached(idc_reciprocal_scaled, f)
+        assert "idc_reciprocal_scaled" in {name for _, _, name in kernel}
+        assert reached(scaled_reciprocal_by_ordinary, f) == set()
 
 
 class TestGenocchi:
