@@ -28,7 +28,6 @@ from .verify import (
     GridFailure,
     TheoremId,
     VerificationReport,
-    holds,
     run_grid,
 )
 from .cache import (
@@ -60,7 +59,6 @@ __all__ = [
     "gen_genocchi_table",
     "genocchi_table",
     "get_or_build",
-    "holds",
     "idc_reciprocal_scaled",
     "is_prime",
     "load_bernoulli_cache",

@@ -3,9 +3,9 @@ numbers, with exact counterexample capture.
 
 Every claim is checked with integer or rational arithmetic only; a grid
 run either reports zero failures or pins each failing point with the
-observed and expected values. `holds` checks one point as a one-point
-grid. A mutation mode perturbs a single table value on purpose, so the
-harness can demonstrate that it is capable of rejecting a false statement.
+observed and expected values; a point is a one-point grid. A mutation mode
+perturbs a single table value on purpose, so the harness can demonstrate
+that it is capable of rejecting a false statement.
 """
 
 from __future__ import annotations
@@ -240,27 +240,6 @@ def _map(fn, items, *more, jobs: int):
         return list(pool.map(fn, items, *more))
 
 
-def holds(theorem: TheoremId, n: int, a: int | None = None, g: int | None = None) -> bool:
-    """Whether the statement holds at (n, a) for the value g, or for G at
-    (n, a) by the series route when g is None: the one-point grid of
-    run_grid. a is the base, and is given exactly when the statement ranges
-    over bases. A statement without a table raises ValueError, and so does
-    a point that its record does not check, as an empty grid.
-
-    A prop2_equiv point costs O(n^2): it builds B_0..B_n and its base's
-    whole Bernoulli-sum column to n. To check many points, turn the loop
-    over points -> call run_grid once on a grid that holds them."""
-    statement = STATEMENTS[theorem]
-    if not statement.table:
-        raise ValueError(f"{theorem.value} has no table value to check at a point")
-    if statement.over_a != (a is not None):
-        verb = "needs a base a" if statement.over_a else "takes no base a"
-        raise ValueError(f"{theorem.value} {verb}")
-    # a given g stands in for the column, whose only entry read is n
-    columns = None if g is None else {(_base(a), n): {n: g}}
-    return run_grid(theorem, (n, n), None if a is None else (a, a), columns=columns).passed
-
-
 def run_grid(
     theorem: TheoremId,
     n_range: tuple[int, int],
@@ -270,7 +249,7 @@ def run_grid(
     jobs: int = 1,
     mutate: tuple[int, int] | None = None,
     bernoulli: BernoulliTable | None = None,
-    columns: dict[tuple[int | None, int], list[int]] | None = None,
+    columns: dict[tuple[int, int], list[int]] | None = None,
 ) -> VerificationReport:
     """Check one statement over an inclusive (n, a) grid.
 
@@ -284,8 +263,7 @@ def run_grid(
     prop2_equiv's Bernoulli-sum columns, are built on at most `jobs` worker
     processes, never more than one per column or per CPU; the checks run in
     this process. Failures come back sorted by (n, a); two identical runs
-    produce equal reports apart from elapsed_s. `holds` is the one-point
-    form of this run.
+    produce equal reports apart from elapsed_s.
 
     `columns` memoises columns by (a, n_max), a being 2 for the classical
     column: a column found there is not built again, and each column built

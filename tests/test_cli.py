@@ -24,7 +24,7 @@ from genocchi.cli import (
     render_reports_json,
 )
 from genocchi.exact import ConsistencyError
-from genocchi import cache, cli, special, verify
+from genocchi import cache, cli, series, special, verify
 from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import REPO_ROOT, run_python
@@ -495,53 +495,93 @@ class TestVerifyCommand:
         assert run_cli(capsys, "--help")[0] == 0
 
 
-def bumped_at(n, fn):
-    """fn with entry n of the list it returns raised by 1."""
-    def bumped(max_index):
-        values = fn(max_index)
-        if max_index >= n:
+def bumped_at(n, fn, base=None):
+    """fn with entry n of the list it returns raised by 1; with `base`, only
+    in the calls whose first argument is that base. `bumped.hits` counts the
+    values it bumped."""
+    def bumped(*args):
+        values = fn(*args)
+        if len(values) > n and base in (None, args[0]):
             values[n] += 1
+            bumped.hits += 1
         return values
 
+    bumped.hits = 0
     return bumped
 
 
 PROP2_SMALL = ["verify", "prop2_equiv", "--n-max", "12", "--a-max", "3"]
+BERNOULLI_SMALL = ["bernoulli", "--n-max", "12"]
+
+# fault -> (the module that defines the kernel, its name, the modules that
+# import it by name, the entry bumped, the one base bumped or None for all)
+FAULTS = {
+    "kernel": (special, "_seidel_bernoulli", (special, cache), 8, None),
+    "column": (special, "genocchi_table", (special, verify), 8, None),
+    "column-a3": (special, "gen_genocchi_table", (special, verify, cli), 8, 3),
+    "transform": (special, "gen_genocchi_bernoulli", (special, verify), 8, None),
+    "prop1": (series, "idc_reciprocal_scaled", (series, verify), 5, None),
+}
 
 
 class TestFaultMatrix:
-    """One wrong value in a kernel on the Bernoulli side, and what each
-    cache state makes of it. A cold cache builds the table and checks it
-    against the base-2 series column; a warm one, written before the fault,
-    is re-derived by the Bernoulli kernel alone."""
+    """One wrong value in a kernel or in the cache file, and what each cache
+    state makes of it. A cold cache builds the Bernoulli table and checks
+    it against the base-2 series column; a warm one, written before the
+    fault, is re-derived by the Bernoulli kernel alone. The kernels are
+    Seidel's triangle, the base-2 and base-3 series columns, the
+    Bernoulli-sum transform and prop1's recurrence. prop1_idc checks only
+    that its trials stay integral, so a bumped integer passes it: the
+    statement cannot tell a wrong recurrence from a right one."""
 
-    @pytest.mark.parametrize("fault, state, argv, code, fragment", [
-        ("kernel", "cold", ["bernoulli", "--n-max", "12"], 3,
-         "B_8 = 29/30 from Seidel's triangle disagrees with G_8 = 17"),
-        ("kernel", "warm", ["bernoulli", "--n-max", "12"], 2, "entry 8 fails re-derivation"),
+    @pytest.mark.parametrize("fault, state, argv, code, fragments", [
+        ("kernel", "cold", BERNOULLI_SMALL, 3,
+         ["B_8 = 29/30 from Seidel's triangle disagrees with G_8 = 17"]),
+        ("kernel", "warm", BERNOULLI_SMALL, 2, ["entry 8 fails re-derivation"]),
         ("column", "cold", PROP2_SMALL, 3,
-         "B_8 = -1/30 from Seidel's triangle disagrees with G_8 = 18"),
-        ("column", "warm", PROP2_SMALL, 1, "FAIL prop2_equiv n=8 a=2"),
-    ], ids=["kernel-cold", "kernel-warm", "column-cold", "column-warm"])
+         ["B_8 = -1/30 from Seidel's triangle disagrees with G_8 = 18"]),
+        ("column", "warm", PROP2_SMALL, 1, ["FAIL prop2_equiv n=8 a=2"]),
+        ("column-a3", "cold", PROP2_SMALL, 1, ["FAIL prop2_equiv n=8 a=3"]),
+        ("column-a3", "warm", PROP2_SMALL, 1, ["FAIL prop2_equiv n=8 a=3"]),
+        ("transform", "cold", PROP2_SMALL, 1,
+         ["FAIL prop2_equiv n=8 a=2", "FAIL prop2_equiv n=8 a=3"]),
+        ("transform", "warm", PROP2_SMALL, 1,
+         ["FAIL prop2_equiv n=8 a=2", "FAIL prop2_equiv n=8 a=3"]),
+        ("prop1", "cold", ["verify", "prop1_idc", "--n-max", "20"], 0,
+         ["prop1_idc: checked 20 points, 0 failures"]),
+        ("prop1", "warm", ["verify", "prop1_idc", "--n-max", "20"], 0,
+         ["prop1_idc: checked 20 points, 0 failures"]),
+        ("file", "warm", BERNOULLI_SMALL, 2, ["entry 8 fails re-derivation"]),
+    ], ids=["kernel-cold", "kernel-warm", "column-cold", "column-warm", "column-a3-cold",
+            "column-a3-warm", "transform-cold", "transform-warm", "prop1-cold", "prop1-warm",
+            "file-warm"])
     def test_one_bumped_value(self, capsys, monkeypatch, tmp_path, fault, state, argv, code,
-                              fragment):
+                              fragments):
         path = tmp_path / "b.json"
         if state == "warm":
             save_bernoulli_cache(path, bernoulli_table(12))
-        stamp = path.read_bytes() if state == "warm" else None
-        # each module that imports the kernel by name gets the bumped one
-        if fault == "kernel":
-            name, modules = "_seidel_bernoulli", (special, cache)
+        bumped = None
+        if fault == "file":
+            raw = json.loads(path.read_text())
+            entry = raw["entries"][8]
+            entry["num"] = str(int(entry["num"]) + 1)
+            path.write_text(json.dumps(raw))
         else:
-            name, modules = "genocchi_table", (special, verify)
-        bumped = bumped_at(8, getattr(special, name))
-        for module in modules:
-            monkeypatch.setattr(module, name, bumped)
+            home, name, modules, n, base = FAULTS[fault]
+            bumped = bumped_at(n, getattr(home, name), base)
+            # each module that imports the kernel by name gets the bumped one
+            for module in modules:
+                monkeypatch.setattr(module, name, bumped)
+        stamp = path.read_bytes() if state == "warm" else None
         got, _, err = run_cli(capsys, *argv, "--cache-path", str(path))
         assert got == code
-        assert fragment in err
-        # no run rewrites the cache: a failed build writes none
-        assert (path.read_bytes() if path.exists() else None) == stamp
+        assert bumped is None or bumped.hits > 0  # the fault was reached
+        for fragment in fragments:
+            assert fragment in err
+        if state == "warm":
+            assert path.read_bytes() == stamp  # no run rewrites a warm cache
+        elif code == 3:
+            assert not path.exists()  # a failed build writes none
 
 
 class TestSharedParser:

@@ -22,119 +22,104 @@ from genocchi.verify import (
     STATEMENTS,
     GridFailure,
     TheoremId,
-    holds,
     run_grid,
     _prop1_trial_series,
 )
 
 
+def failures_for(theorem, n, a, g, beside=None):
+    """The (observed, expected) pairs a statement's describer yields for the
+    value g at (n, a); `beside` is what it reads besides G (prop2_equiv's
+    Bernoulli-sum column). Empty when g satisfies the statement."""
+    return list(STATEMENTS[theorem].describe(n, a, g, beside, None))
+
+
 class TestPointChecks:
+    """A point check is the one-point grid (n, n) x (a, a); a given value is
+    judged by the statement's describer."""
+
     def test_lemma_and_theorem1_hold_at_spots(self):
         for n, a in [(1, 2), (6, 3), (12, 10), (30, 6), (49, 7)]:
-            assert holds(TheoremId.LEMMA_N_DIV, n, a)
-            assert holds(TheoremId.THEOREM1, n, a)
+            for theorem in (TheoremId.LEMMA_N_DIV, TheoremId.THEOREM1):
+                report = run_grid(theorem, (n, n), (a, a))
+                assert (report.checked, report.passed) == (1, True), (theorem, n, a)
 
-    def test_theorem1_uses_precomputed_value(self):
+    def test_theorem1_judges_a_given_value(self):
         g = gen_genocchi_table(3, 6)[6]
-        assert holds(TheoremId.THEOREM1, 6, 3, g)
+        assert failures_for(TheoremId.THEOREM1, 6, 3, g) == []
         # a wrong value for a point with a nontrivial coprime part must fail
         assert coprime_part(6, 3) == 2
-        assert not holds(TheoremId.THEOREM1, 6, 3, g + 1)
+        assert failures_for(TheoremId.THEOREM1, 6, 3, g + 1) != []
 
     def test_theorem2_judgment(self):
-        assert holds(TheoremId.THEOREM2, 6, 3) is True
-        assert holds(TheoremId.THEOREM2, 2, 3, g=-1) is False
+        assert run_grid(TheoremId.THEOREM2, (6, 6), (3, 3)).passed is True
+        assert failures_for(TheoremId.THEOREM2, 2, 3, -1) != []
 
     def test_theorem2_odd_times_odd(self):
         # n and a both odd puts a denominator of 2 into the target residue
-        assert holds(TheoremId.THEOREM2, 3, 3)
+        assert run_grid(TheoremId.THEOREM2, (3, 3), (3, 3)).passed
 
     def test_corollary2_residues(self):
-        assert holds(TheoremId.COROLLARY2, 4, 7)   # odd a: 1 mod a
-        assert holds(TheoremId.COROLLARY2, 1, 7)   # odd a admits n = 1
-        assert holds(TheoremId.COROLLARY2, 4, 6)   # even a, even n: 1 mod a
-        assert holds(TheoremId.COROLLARY2, 5, 6)   # even a, odd n: 1 + a/2 mod a
-        assert not holds(TheoremId.COROLLARY2, 5, 6, g=1)
+        for n, a in [
+            (4, 7),  # odd a: 1 mod a
+            (1, 7),  # odd a admits n = 1
+            (4, 6),  # even a, even n: 1 mod a
+            (5, 6),  # even a, odd n: 1 + a/2 mod a
+        ]:
+            assert run_grid(TheoremId.COROLLARY2, (n, n), (a, a)).passed, (n, a)
+        assert failures_for(TheoremId.COROLLARY2, 5, 6, 1) != []
 
     def test_gcd_corollary_spots(self):
-        assert holds(TheoremId.GCD_COROLLARY, 3, 6)   # a = 2 mod 4, odd n: gcd 2
-        assert holds(TheoremId.GCD_COROLLARY, 4, 6)   # even n: gcd 1
-        assert holds(TheoremId.GCD_COROLLARY, 5, 4)   # a = 0 mod 4: gcd 1
-        assert not holds(TheoremId.GCD_COROLLARY, 5, 4, g=-24)  # gcd 4 is out
+        for n, a in [
+            (3, 6),  # a = 2 mod 4, odd n: gcd 2
+            (4, 6),  # even n: gcd 1
+            (5, 4),  # a = 0 mod 4: gcd 1
+        ]:
+            assert run_grid(TheoremId.GCD_COROLLARY, (n, n), (a, a)).passed, (n, a)
+        assert failures_for(TheoremId.GCD_COROLLARY, 5, 4, -24) != []  # gcd 4 is out
 
     def test_gcd_corollary_with_vanishing_values(self):
         # classical odd-index values vanish and gcd(0, 2) = 2 still fits the
         # characterization at a = 2
         assert gen_genocchi_table(2, 3)[3] == 0
-        assert holds(TheoremId.GCD_COROLLARY, 3, 2)
-        assert holds(TheoremId.GCD_COROLLARY, 5, 2)
+        assert run_grid(TheoremId.GCD_COROLLARY, (3, 3), (2, 2)).passed
+        assert run_grid(TheoremId.GCD_COROLLARY, (5, 5), (2, 2)).passed
 
     def test_even_genocchi_odd(self):
-        assert holds(TheoremId.ODD_GENOCCHI, 8)
-        assert not holds(TheoremId.ODD_GENOCCHI, 8, g=18)
+        assert run_grid(TheoremId.ODD_GENOCCHI, (8, 8)).passed
+        assert failures_for(TheoremId.ODD_GENOCCHI, 8, None, 18) != []
 
     def test_hypothesis_bounds_enforced(self):
         # a point outside the statement is an empty one-point grid
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.LEMMA_N_DIV, 0, 3)
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.THEOREM1, 3, 1)
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.THEOREM2, 1, 3)
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.COROLLARY2, 1, 6)  # even a starts at n = 2
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.GCD_COROLLARY, 1, 3)
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.ODD_GENOCCHI, 7)
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.ODD_GENOCCHI, 0)
-        with pytest.raises(ValueError, match="empty"):
-            holds(TheoremId.COROLLARY2, 0, 7)  # odd a starts at n = 1
-
-    def test_points_outside_a_statement_rejected(self):
-        with pytest.raises(ValueError, match="takes no base"):
-            holds(TheoremId.ODD_GENOCCHI, 8, 2)
-        with pytest.raises(ValueError, match="needs a base"):
-            holds(TheoremId.THEOREM1, 6)
-        with pytest.raises(ValueError, match="no table"):
-            holds(TheoremId.VSC_INTEGRALITY, 4)
-        with pytest.raises(ValueError, match="no table"):
-            holds(TheoremId.PROP1_IDC, 4)
-
-    def test_a_given_value_builds_no_series_column(self, monkeypatch):
-        built = []
-
-        def counting(name):
-            real = getattr(verify, name)
-
-            def build(*args):
-                built.append(name)
-                return real(*args)
-
-            return build
-
-        for name in ("gen_genocchi_table", "genocchi_table"):
-            monkeypatch.setattr(verify, name, counting(name))
-        for theorem in MUTABLE:
-            a = 3 if STATEMENTS[theorem].over_a else None
-            g = (genocchi_table(8) if a is None else gen_genocchi_table(a, 8))[8]
-            assert holds(theorem, 8, a, g)
-        assert not holds(TheoremId.PROP2_EQUIV, 8, 3, gen_genocchi_table(3, 8)[8] + 1)
-        assert built == []
-        assert holds(TheoremId.THEOREM1, 8, 3)
-        assert built == ["gen_genocchi_table"]
+        for theorem, n, a in [
+            (TheoremId.LEMMA_N_DIV, 0, 3),
+            (TheoremId.THEOREM1, 3, 1),
+            (TheoremId.THEOREM2, 1, 3),
+            (TheoremId.COROLLARY2, 1, 6),  # even a starts at n = 2
+            (TheoremId.GCD_COROLLARY, 1, 3),
+            (TheoremId.ODD_GENOCCHI, 7, None),
+            (TheoremId.ODD_GENOCCHI, 0, None),
+            (TheoremId.COROLLARY2, 0, 7),  # odd a starts at n = 1
+        ]:
+            with pytest.raises(ValueError, match="empty"):
+                run_grid(theorem, (n, n), None if a is None else (a, a))
 
     def test_prop2_point_builds_one_bernoulli_sum_column(self, monkeypatch):
         built = []
 
-        def counting(a, n_max, table):
-            built.append((a, n_max))
-            return gen_genocchi_bernoulli(a, n_max, table)
+        def counting(route, build):
+            def counted(*args):
+                built.append((route, *args[:2]))
+                return build(*args)
 
-        monkeypatch.setattr(verify, "gen_genocchi_bernoulli", counting)
-        assert holds(TheoremId.PROP2_EQUIV, 9, 4)
-        assert built == [(4, 9)]
+            return counted
+
+        monkeypatch.setattr(verify, "gen_genocchi_table",
+                            counting("series", gen_genocchi_table))
+        monkeypatch.setattr(verify, "gen_genocchi_bernoulli",
+                            counting("sums", gen_genocchi_bernoulli))
+        assert run_grid(TheoremId.PROP2_EQUIV, (9, 9), (4, 4)).passed
+        assert built == [("series", 4, 9), ("sums", 4, 9)]
 
 
 MUTABLE = [t for t in TheoremId if STATEMENTS[t].table]
@@ -145,22 +130,27 @@ class TestPointChecksAgreeWithGrid:
     def test_check_fails_exactly_where_the_mutated_grid_fails(self, theorem):
         statement = STATEMENTS[theorem]
         a_range = (2, 6) if statement.over_a else None
+        table = bernoulli_table(12)
         columns = {}
         points = caught = 0
         for a in range(2, 7) if statement.over_a else (None,):
             column = genocchi_table(12) if a is None else gen_genocchi_table(a, 12)
+            beside = None
+            if theorem is TheoremId.PROP2_EQUIV:
+                beside = gen_genocchi_bernoulli(a, 12, table)
             for n in statement.n_values(a, statement.min_n, 12):
                 points += 1
-                assert holds(theorem, n, a, column[n]), (n, a)
+                assert failures_for(theorem, n, a, column[n], beside) == [], (n, a)
                 target = (n, a or 2)
-                if holds(theorem, n, a, column[n] + 1):
+                if not failures_for(theorem, n, a, column[n] + 1, beside):
                     with pytest.raises(ValueError, match="invisible"):
                         run_grid(theorem, (1, 12), a_range, mutate=target, columns=columns)
                     continue
                 mutated = run_grid(theorem, (1, 12), a_range, mutate=target, columns=columns)
                 assert [(f.n, f.a) for f in mutated.failures] == [(n, a)]
                 caught += 1
-        assert points == run_grid(theorem, (1, 12), a_range).checked
+        report = run_grid(theorem, (1, 12), a_range)
+        assert (report.checked, report.passed) == (points, True)
         assert caught > 0
 
 
