@@ -9,6 +9,9 @@ closed under addition, multiplication, and argument scaling by an
 integer; they are not closed under reciprocal, but a_0 / f(a_0 t) is
 again IDC whenever f is.
 
+A coefficient is held as an int when it is an integer and as a Fraction in
+lowest terms otherwise, so the column path's integral series stay in ints.
+
 series_reciprocal serves the column path alone. It clears denominators
 and runs one back-substitution in Python ints. With d the lcm of the
 denominators and a_k = d f_k, the reciprocal of f is that of a / d: with
@@ -45,30 +48,34 @@ from operator import add, mul
 
 @dataclass(frozen=True)
 class EgfSeries:
-    """Differential coefficients a_0..a_N of a series truncated at order N."""
+    """Differential coefficients a_0..a_N of a series truncated at order N,
+    each integral one an int and each other one a lowest-terms Fraction."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a series needs at least its order-0 coefficient")
         coeffs = self.coeffs
-        if type(coeffs) is not tuple or not all(type(c) is Fraction for c in coeffs):
-            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        if type(coeffs) is not tuple or not all(
+            type(c) is int or type(c) is Fraction and c.denominator != 1 for c in coeffs
+        ):
+            coeffs = tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, coeffs))
+            object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         return self.coeffs[n]
 
 
 def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
     """Binomial convolution: out_n = sum_k C(n,k) f_k g_{n-k}, summed over
     the nonzero f_k only, so a product with a monomial is O(N). Each term is
-    one Fraction C(n,k) p_k p / (q_k q) for f_k = p_k/q_k and g_{n-k} = p/q,
-    normalised once."""
+    C(n,k) p_k p / (q_k q) for f_k = p_k/q_k and g_{n-k} = p/q: an int where
+    the division is exact, else one Fraction, normalised once."""
     if f.order != g.order:
         raise ValueError(
             f"series_mul needs equal truncation orders, got {f.order} and {g.order}"
@@ -82,9 +89,12 @@ def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
             if k > n:
                 break
             g_m = g_coeffs[n - k]
-            term = Fraction(comb(n, k) * p_k * g_m.numerator, q_k * g_m.denominator)
+            num, den = comb(n, k) * p_k * g_m.numerator, q_k * g_m.denominator
+            term, rem = divmod(num, den)
+            if rem:
+                term = Fraction(num, den)
             acc = term if acc is None else acc + term
-        out.append(Fraction(0) if acc is None else acc)
+        out.append(0 if acc is None else acc)
     return EgfSeries(tuple(out))
 
 
@@ -132,29 +142,30 @@ def _cleared(f: EgfSeries) -> tuple[list[int], int]:
 def series_reciprocal(f: EgfSeries) -> EgfSeries:
     """The series r with f*r = 1 up to the truncation order, by triangular
     back-substitution in integers: r_n = p_n / c^e_n with c = d f_0 (see the
-    module docstring). Requires a nonzero constant term."""
+    module docstring), which is p_n itself where e_n = 0 and otherwise not an
+    integer, as c does not divide p_n. Requires a nonzero constant term."""
     if f.coeffs[0] == 0:
         raise ValueError("series_reciprocal needs a nonzero constant term")
     a, d = _cleared(f)
     c = a[0]
     p, e = _back_substitute(a, d)
-    return EgfSeries(tuple(Fraction(p_n, c**e_n) for p_n, e_n in zip(p, e)))
+    return EgfSeries(tuple(Fraction(p_n, c**e_n) if e_n else p_n for p_n, e_n in zip(p, e)))
 
 
 def exp_sum_series(a: int, order: int) -> EgfSeries:
     """The series of 1 + e^t + e^{2t} + ... + e^{(a-1)t} for a >= 2; its
     differential coefficients are the power sums d_n = sum_{k<a} k^n with
-    d_0 = a."""
+    d_0 = a, as ints."""
     if a < 2:
         raise ValueError(f"exp_sum_series needs a >= 2, got {a}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     bases = range(1, a)
     powers = [1] * (a - 1)  # k^n for k = 1..a-1, kept from one order to the next
-    coeffs = [Fraction(a)]
+    coeffs = [a]
     for _ in range(order):
         powers = list(map(mul, powers, bases))
-        coeffs.append(Fraction(sum(powers)))
+        coeffs.append(sum(powers))
     return EgfSeries(tuple(coeffs))
 
 

@@ -18,7 +18,9 @@ sum_{k<n} C(n,k) B_k a^k. A whole column of it is one binomial transform:
 with u_k = B_k a^k, sum_{k<=n} C(n,k) u_k is the first entry of the n-th
 row of pairwise sums of u, and G_{n,a} is that entry less u_n. The column
 must agree exactly with the series route; that equivalence is one of the
-verified properties, not assumed.
+verified properties, not assumed. Both routes hold an integral value as an
+int and any other as a Fraction: the series route's column is the list of
+the product's int coefficients, and the Bernoulli tables are Fractions.
 """
 
 from __future__ import annotations
@@ -105,23 +107,22 @@ def genocchi_table(n_max: int) -> list[int]:
 def gen_genocchi_table(a: int, n_max: int) -> list[int]:
     """G_{0,a}..G_{n_max,a} from a*t / (1 + e^t + ... + e^{(a-1)t}), truncated
     at order n_max, since coefficient n depends only on the first n + 1 terms.
-    Non-integral output aborts: integrality is a structural fact here, not an
-    input condition."""
+    The series hold each integral coefficient as an int, so the product's
+    coefficients are the column itself; one that is not an int aborts:
+    integrality is a structural fact here, not an input condition."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     denom = exp_sum_series(a, n_max)
-    numer = [Fraction(0)] * (n_max + 1)
+    numer = [0] * (n_max + 1)
     if n_max >= 1:
-        numer[1] = Fraction(a)
+        numer[1] = a
     prod = series_mul(EgfSeries(tuple(numer)), series_reciprocal(denom))
-    values = []
     for n, c in enumerate(prod.coeffs):
-        if c.denominator != 1:
+        if type(c) is not int:
             raise ConsistencyError(
                 f"generalized Genocchi (a={a}) came out non-integral at index {n}: {c}"
             )
-        values.append(c.numerator)
-    return values
+    return list(prod.coeffs)
 
 
 def gen_genocchi_bernoulli(a: int, n_max: int, table: BernoulliTable) -> list[int | Fraction]:
@@ -154,19 +155,19 @@ def gen_genocchi_bernoulli(a: int, n_max: int, table: BernoulliTable) -> list[in
 
 
 def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:
-    """B_n + sum of 1/p over primes p with (p-1) dividing n, for even n >= 2.
-    The sum is an integer; callers check that."""
+    """B_n + sum of 1/p over primes p with (p-1) dividing n, for even n >= 2,
+    added over the lcm of the denominators and built as one Fraction. The
+    sum is an integer; callers check that."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"the correction sum is defined for even n >= 2, got {n}")
     if table.max_index < n:
         raise ValueError(
             f"Bernoulli table covers indices up to {table.max_index}, need {n}"
         )
-    acc = table.values[n]
-    for d in range(1, n + 1):
-        if n % d == 0 and is_prime(d + 1):
-            acc += Fraction(1, d + 1)
-    return acc
+    b = table.values[n]
+    primes = [d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1)]
+    den = lcm(b.denominator, *primes)
+    return Fraction(b.numerator * (den // b.denominator) + sum(den // p for p in primes), den)
 
 
 def check_valuation_bound(n: int, table: BernoulliTable) -> bool:

@@ -80,11 +80,21 @@ class VerificationReport:
 
 
 def _prop1_trial_series(trial: int, order: int) -> list[int]:
-    """The derivative values a_0..a_order of one random IDC series."""
+    """The derivative values a_0..a_order of one random IDC series: a_0 drawn
+    from PROP1_CONSTANT_RANGE and the rest from PROP1_COEFF_RANGE, each as
+    `randint` draws it on CPython 3.10-3.13, lo + r with r = getrandbits(k)
+    for k the bit length of the width, redrawn while r >= width."""
     # deterministic per trial: the trial index seeds the generator
-    rng = random.Random(trial)
-    lo, hi = PROP1_COEFF_RANGE
-    return [rng.randint(*PROP1_CONSTANT_RANGE), *(rng.randint(lo, hi) for _ in range(order))]
+    bits = random.Random(trial).getrandbits
+    values = []
+    for (lo, hi), count in ((PROP1_CONSTANT_RANGE, 1), (PROP1_COEFF_RANGE, order)):
+        width = hi - lo + 1
+        k = width.bit_length()
+        for _ in range(count):
+            while (r := bits(k)) >= width:
+                pass
+            values.append(lo + r)
+    return values
 
 
 # A statement's table, and the ways a point fails. These reach package

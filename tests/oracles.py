@@ -10,6 +10,7 @@ each other before being pinned.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -160,6 +161,14 @@ def coeffwise_add(c: list[Fraction], d: list[Fraction]) -> list[Fraction]:
 def is_idc(f) -> bool:
     """Whether every differential coefficient of the series f is an integer."""
     return all(c.denominator == 1 for c in f.coeffs)
+
+
+def prop1_trial_by_randint(trial: int, order: int) -> list[int]:
+    """The derivative values of prop1's trial series, drawn by
+    random.Random(trial).randint: a_0 in [1, 5], then `order` values in
+    [-9, 9]."""
+    rng = random.Random(trial)
+    return [rng.randint(1, 5), *(rng.randint(-9, 9) for _ in range(order))]
 
 
 # Frozen values. Bernoulli and classical Genocchi entries agree with the

@@ -72,10 +72,19 @@ def genocchi_egf(order):
 
 class TestEgfSeries:
     def test_coerces_and_freezes(self):
-        f = EgfSeries((1, -2, Fraction(1, 3)))
+        # an integral coefficient is held as an int, any other as a
+        # Fraction in lowest terms, whatever form it came in
+        f = EgfSeries([1, -2, Fraction(1, 3)])
         assert f.order == 2
         assert f[2] == Fraction(1, 3)
-        assert all(isinstance(c, Fraction) for c in f.coeffs)
+        assert type(f.coeffs) is tuple
+        assert [type(c) for c in f.coeffs] == [int, int, Fraction]
+        f = EgfSeries((Fraction(4, 2), Fraction(3, 2)))
+        assert f.coeffs == (2, Fraction(3, 2))
+        assert [type(c) for c in f.coeffs] == [int, Fraction]
+        g = EgfSeries((Fraction(-6, 3), 5, Fraction(6, 4), 0.5, True))
+        assert g.coeffs == (-2, 5, Fraction(3, 2), Fraction(1, 2), 1)
+        assert [type(c) for c in g.coeffs] == [int, int, Fraction, Fraction, int]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -129,11 +138,21 @@ class TestAddMul:
             via_binomial = series_mul(f, g).coeffs
             via_ordinary = diffs_from_ordinary(
                 ordinary_mul(
-                    ordinary_from_diffs(list(f.coeffs)),
-                    ordinary_from_diffs(list(g.coeffs)),
+                    ordinary_from_diffs(list(map(Fraction, f.coeffs))),
+                    ordinary_from_diffs(list(map(Fraction, g.coeffs))),
                 )
             )
             assert list(via_binomial) == via_ordinary
+
+    def test_products_hold_integral_values_as_ints(self):
+        # exact terms stay ints; a sum of two halves comes back as an int
+        sq = series_mul(exp_series(10), exp_series(10))
+        assert all(type(c) is int for c in sq.coeffs)
+        half = EgfSeries((Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)))
+        prod = series_mul(half, EgfSeries((1, 1, 1)))
+        assert prod.coeffs == (Fraction(1, 2), 1, Fraction(11, 6))
+        assert [type(c) for c in prod.coeffs] == [Fraction, int, Fraction]
+        assert series_mul(half, EgfSeries((2, 0, 6))).coeffs == (1, 1, Fraction(11, 3))
 
     @given(st.lists(st.integers(-9, 9), min_size=3, max_size=8),
            st.lists(st.integers(-9, 9), min_size=3, max_size=8))
@@ -157,6 +176,16 @@ class TestReciprocal:
     def test_rejects_zero_constant(self):
         with pytest.raises(ValueError, match="constant"):
             series_reciprocal(EgfSeries((0, 1, 1)))
+
+    def test_integral_entries_are_ints(self):
+        # r_n is p_n itself where e_n = 0, and never an integer otherwise
+        assert all(type(c) is int for c in series_reciprocal(exp_series(9)).coeffs)
+        for a in (2, 3, 6, 12):
+            r = series_reciprocal(exp_sum_series(a, 40)).coeffs
+            assert all(type(c) is int or c.denominator != 1 for c in r), a
+        rec = series_reciprocal(EgfSeries((Fraction(1, 2), 0, 0, 1))).coeffs
+        assert rec == (2, 0, 0, -4)
+        assert all(type(c) is int for c in rec)
 
     def test_roundtrip_on_random_series(self):
         rng = random.Random(11)
@@ -196,7 +225,7 @@ class TestReciprocal:
         for f in inputs:
             via_binomial = series_reciprocal(f).coeffs
             via_ordinary = diffs_from_ordinary(
-                ordinary_reciprocal(ordinary_from_diffs(list(f.coeffs)))
+                ordinary_reciprocal(ordinary_from_diffs(list(map(Fraction, f.coeffs))))
             )
             assert list(via_binomial) == via_ordinary
 
@@ -266,7 +295,9 @@ class TestExpSum:
         for a in range(2, 26):
             for order in (1, 2, 7, 60):
                 sums = [sum(k**n for k in range(a)) for n in range(order + 1)]
-                assert exp_sum_series(a, order) == EgfSeries(tuple(sums)), (a, order)
+                f = exp_sum_series(a, order)
+                assert f == EgfSeries(tuple(sums)), (a, order)
+                assert all(type(d) is int for d in f.coeffs), (a, order)
 
     def test_order_zero(self):
         assert exp_sum_series(4, 0) == EgfSeries((4,))

@@ -10,7 +10,7 @@ import pytest
 
 from genocchi import special
 from genocchi.exact import ConsistencyError, factorize, is_prime
-from genocchi.series import idc_reciprocal_scaled
+from genocchi.series import EgfSeries, idc_reciprocal_scaled
 from genocchi.special import (
     BernoulliTable,
     bernoulli_table,
@@ -217,6 +217,24 @@ class TestGenGenocchi:
             assert table[1] == 1
             assert table[2] == 1 - a
 
+    def test_columns_are_ints(self):
+        for a in range(2, 21):
+            assert all(type(g) is int for g in gen_genocchi_table(a, 60)), a
+
+    def test_non_integral_product_aborts(self, monkeypatch):
+        # the text is the one the column wrote when it unboxed Fractions
+        def off_by_half(f, g, _inner=special.series_mul):
+            coeffs = list(_inner(f, g).coeffs)
+            coeffs[4] += Fraction(1, 2)
+            return EgfSeries(tuple(coeffs))
+
+        monkeypatch.setattr(special, "series_mul", off_by_half)
+        with pytest.raises(ConsistencyError) as caught:
+            gen_genocchi_table(3, 8)
+        assert str(caught.value) == (
+            "generalized Genocchi (a=3) came out non-integral at index 4: 9/2"
+        )
+
     def test_single_value(self):
         assert gen_genocchi_table(3, 6)[6] == -26
         assert gen_genocchi_table(6, 3)[3] == 10
@@ -286,6 +304,15 @@ class TestVonStaudtClausen:
     def test_integral_through_sixty_four(self, bern64):
         for n in range(2, 65, 2):
             assert von_staudt_clausen_sum(n, bern64).denominator == 1
+
+    def test_matches_the_sum_of_fractions_through_300(self):
+        table = bernoulli_table(300)
+        for n in range(2, 301, 2):
+            by_fractions = table[n] + sum(
+                (Fraction(1, p) for p in range(2, n + 2) if n % (p - 1) == 0 and is_prime(p)),
+                Fraction(0),
+            )
+            assert von_staudt_clausen_sum(n, table) == by_fractions, n
 
     def test_denominator_is_product_of_matching_primes(self, bern64):
         # the denominator of B_n = product of the primes p with (p-1) | n, squarefree

@@ -25,6 +25,7 @@ from genocchi.verify import (
     run_grid,
     _prop1_trial_series,
 )
+from oracles import prop1_trial_by_randint
 
 
 def failures_for(theorem, n, a, g, beside=None):
@@ -292,6 +293,14 @@ class TestDeterminism:
         assert all(-9 <= c <= 9 for c in f[1:])
         assert len(f) == 31
 
+    def test_prop1_trials_are_randint_draws(self):
+        # the trials replay randint's rule over getrandbits; a CPython whose
+        # randint draws otherwise fails here, rather than silently changing
+        # the series prop1 checks
+        for order in (1, 2, 30, 50):
+            for t in range(1, 501):
+                assert _prop1_trial_series(t, order) == prop1_trial_by_randint(t, order), (t, order)
+
     def test_prop1_trial_outputs_are_pinned(self):
         # the random.Random(trial) draws and the integers s_0..s_30 of each
         # trial, as first computed by the rational route
@@ -401,6 +410,23 @@ class TestFailureText:
             (11, 4, "series route 555731, Bernoulli route 67663167/101", "exact equality"),
             (12, 3, "series route 201772, Bernoulli route 24276206/101", "exact equality"),
             (12, 4, "series route 4247577, Bernoulli route 498211293/101", "exact equality"),
+        ]
+
+    def test_vsc_on_a_doctored_table(self):
+        # B_6 + 1/3 has lost the 3 of its denominator, B_12 + 1/4 has a
+        # square one, and B_14 + 1 leaves the sum an integer
+        values = list(bernoulli_table(16).values)
+        for n, bump in ((6, Fraction(1, 3)), (10, Fraction(1, 5)), (12, Fraction(1, 4)),
+                        (14, 1), (16, Fraction(1, 7))):
+            values[n] += bump
+        doctored = BernoulliTable(tuple(values))
+        r = run_grid(TheoremId.VSC_INTEGRALITY, (2, 16), None, bernoulli=doctored)
+        assert [(f.n, f.observed, f.expected) for f in r.failures] == [
+            (6, "B_n + sum 1/p = 4/3", "an integer"),
+            (10, "B_n + sum 1/p = 6/5", "an integer"),
+            (12, "B_n + sum 1/p = 5/4", "an integer"),
+            (12, "some nu_p(B_12) < -1", "nu_p >= -1 at every prime"),
+            (16, "B_n + sum 1/p = -41/7", "an integer"),
         ]
 
     @pytest.mark.parametrize("mutate,observed,expected", [
