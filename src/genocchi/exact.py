@@ -1,13 +1,5 @@
-"""Exact arithmetic primitives: factorization, coprime parts, and
-congruences extended to Q.
-
-A Fraction x is always kept in lowest terms with a positive denominator,
-so x.denominator is the smallest positive integer d with d*x an integer
-and x.numerator = d*x carries the sign. On top of that convention the
-congruence x = y (mod m) extends from Z to Q: it holds iff m divides the
-numerator of x - y. The equivalent definition by valuations,
-nu_p(x - y) >= nu_p(m) at every prime p dividing m, is the one the tests
-check it against.
+"""Exact integer primitives: factorization, coprime parts, and
+congruences over Z.
 
 Factorization is trial division with nothing precomputed, and primality is
 read from it. A part left after trial division by every d with d*d <= it
@@ -77,9 +69,11 @@ def coprime_part(n: int, a: int) -> int:
     return n
 
 
-def congruent_mod(x, y, m: int) -> bool:
-    """Decide x = y (mod m) over Q, for ints and Fractions: whether m divides
-    the numerator of x - y. Two ints stay ints, as int.numerator is itself."""
+def congruent_mod(x: int, y: int, m: int) -> bool:
+    """Decide x = y (mod m) for two ints: whether m divides x - y. Any other
+    operand, a Fraction included, raises ValueError."""
+    if type(x) is not int or type(y) is not int:
+        raise ValueError("congruent_mod needs int operands")
     if m < 1:
         raise ValueError(f"modulus must be a positive integer, got {m}")
-    return (x - y).numerator % m == 0
+    return (x - y) % m == 0

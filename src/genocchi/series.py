@@ -12,10 +12,9 @@ again IDC whenever f is.
 A coefficient is held as an int when it is an integer and as a Fraction in
 lowest terms otherwise, so the column path's integral series stay in ints.
 
-series_reciprocal serves the column path alone. It clears denominators
-and runs one back-substitution in Python ints. With d the lcm of the
-denominators and a_k = d f_k, the reciprocal of f is that of a / d: with
-c = a_0, r_0 = d / c and r_n = -(1/c) sum_{m<n} C(n,m) a_{n-m} r_m, summed
+series_reciprocal serves the column path alone. It takes int
+coefficients a_0..a_N and runs one back-substitution in Python ints: with
+c = a_0, r_0 = 1 / c and r_n = -(1/c) sum_{m<n} C(n,m) a_{n-m} r_m, summed
 over the nonzero r_m alone, since the base-2 column's r is zero at every
 even n >= 2 (the power sums have no zero a_k). Each r_n is carried as
 p_n / c^e_n with an integer p_n and e_n as small as the recurrence
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from operator import add, mul
 
 
@@ -98,8 +97,8 @@ def series_mul(f: EgfSeries, g: EgfSeries) -> EgfSeries:
     return EgfSeries(tuple(out))
 
 
-def _back_substitute(a: list[int], s0: int) -> tuple[list[int], list[int]]:
-    """The reciprocal r of the series a / s0, for c = a_0 != 0, as integers
+def _back_substitute(a: list[int]) -> tuple[list[int], list[int]]:
+    """The reciprocal r of the series a, for c = a_0 != 0, as integers
     p_n and exponents e_n with r_n = p_n / c^e_n, summed over the nonzero
     r_m only, so the base-2 column skips its zero half (module docstring).
     Each e_n is as small as the recurrence allows: c | p_n only if e_n = 0."""
@@ -111,7 +110,7 @@ def _back_substitute(a: list[int], s0: int) -> tuple[list[int], list[int]]:
     for n in range(len(a)):
         if n:
             row = [1, *map(add, row[1:], row), 1]
-        acc = 0 if n else s0  # r_0 = s0 / c
+        acc = 0 if n else 1  # r_0 = 1 / c
         for m, x in scaled:
             acc -= row[m] * a[n - m] * x
         # r_n = acc / c^(top + 1)
@@ -132,23 +131,19 @@ def _back_substitute(a: list[int], s0: int) -> tuple[list[int], list[int]]:
     return p, e
 
 
-def _cleared(f: EgfSeries) -> tuple[list[int], int]:
-    """The integer numerators a_k = d f_k and the common denominator d, the
-    lcm of the denominators of f."""
-    d = lcm(*(f_k.denominator for f_k in f.coeffs))
-    return [f_k.numerator * (d // f_k.denominator) for f_k in f.coeffs], d
-
-
 def series_reciprocal(f: EgfSeries) -> EgfSeries:
     """The series r with f*r = 1 up to the truncation order, by triangular
-    back-substitution in integers: r_n = p_n / c^e_n with c = d f_0 (see the
+    back-substitution in integers: r_n = p_n / c^e_n with c = f_0 (see the
     module docstring), which is p_n itself where e_n = 0 and otherwise not an
-    integer, as c does not divide p_n. Requires a nonzero constant term."""
-    if f.coeffs[0] == 0:
-        raise ValueError("series_reciprocal needs a nonzero constant term")
-    a, d = _cleared(f)
+    integer, as c does not divide p_n. Requires int coefficients and a
+    nonzero constant term."""
+    a = list(f.coeffs)
+    if not all(type(a_k) is int for a_k in a):
+        raise ValueError("series_reciprocal needs int coefficients")
     c = a[0]
-    p, e = _back_substitute(a, d)
+    if c == 0:
+        raise ValueError("series_reciprocal needs a nonzero constant term")
+    p, e = _back_substitute(a)
     return EgfSeries(tuple(Fraction(p_n, c**e_n) if e_n else p_n for p_n, e_n in zip(p, e)))
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from genocchi.series import (
     EgfSeries,
     _back_substitute,
-    _cleared,
     exp_sum_series,
     idc_reciprocal_scaled,
     series_mul,
@@ -177,15 +176,16 @@ class TestReciprocal:
         with pytest.raises(ValueError, match="constant"):
             series_reciprocal(EgfSeries((0, 1, 1)))
 
+    def test_rejects_non_int_coefficients(self):
+        with pytest.raises(ValueError, match="int coefficients"):
+            series_reciprocal(EgfSeries((Fraction(1, 2), 1, 0)))
+
     def test_integral_entries_are_ints(self):
         # r_n is p_n itself where e_n = 0, and never an integer otherwise
         assert all(type(c) is int for c in series_reciprocal(exp_series(9)).coeffs)
         for a in (2, 3, 6, 12):
             r = series_reciprocal(exp_sum_series(a, 40)).coeffs
             assert all(type(c) is int or c.denominator != 1 for c in r), a
-        rec = series_reciprocal(EgfSeries((Fraction(1, 2), 0, 0, 1))).coeffs
-        assert rec == (2, 0, 0, -4)
-        assert all(type(c) is int for c in rec)
 
     def test_roundtrip_on_random_series(self):
         rng = random.Random(11)
@@ -194,7 +194,6 @@ class TestReciprocal:
             assert series_mul(f, series_reciprocal(f)) == one_series(16)
 
     def test_matches_ordinary_coefficient_reciprocal(self):
-        # non-IDC inputs have their denominators cleared before inversion
         rng = random.Random(13)
         inputs = [random_idc(rng, 10) for _ in range(30)]
         inputs += [random_idc(rng, 10, constant_range=(-7, -1)) for _ in range(10)]
@@ -202,8 +201,6 @@ class TestReciprocal:
         inputs += [
             EgfSeries((3, 0, 0, 5, 0, 0, 0, -2, 0, 0, 0)),
             EgfSeries((-2, 1) + (0,) * 9),
-            EgfSeries((Fraction(2, 3), Fraction(-1, 2), 0, Fraction(5, 7), 1, 0, 3)),
-            EgfSeries(tuple(Fraction(1, n + 1) for n in range(12))),
             # inputs whose numerators p_n take c out more than once, or
             # need the common power of c raised
             exp_sum_series(2, 30),  # r_n = 0 at every even n >= 2
@@ -213,11 +210,6 @@ class TestReciprocal:
             # top is raised at n = 1, 3, 7, 15, 31, 63 and 127
             exp_sum_series(2, 130),
             exp_sum_series(6, 40),
-            # c = 6 against d = 5, and c = 6 against d = 4 sharing a factor
-            EgfSeries((Fraction(6, 5), Fraction(3, 5), Fraction(-2, 5), Fraction(1, 5),
-                       Fraction(4, 5), Fraction(-7, 5), Fraction(9, 5), 0, Fraction(2, 5))),
-            EgfSeries((Fraction(3, 2), Fraction(1, 4), Fraction(-3, 4), 2, Fraction(5, 4),
-                       0, Fraction(-1, 2), Fraction(7, 4))),
             # c = -2 with a_k = (-2)^(k+1) b_k, so r_n = (-2)^(n-1) times an integer
             EgfSeries(tuple((-2) ** (k + 1) * b for k, b in enumerate(
                 [1, 3, -1, 0, 2, -5, 4, 1, 0, -3, 2]))),
@@ -245,20 +237,17 @@ class TestReciprocal:
         # p_n c / c^(e_n + 1), so the kernel's own output is pinned: c divides
         # no p_n that still carries a power of c
         for a, order in ((2, 60), (6, 60), (12, 60), (20, 60)):
-            coeffs, d = _cleared(exp_sum_series(a, order))
-            p, e = _back_substitute(coeffs, d)
+            p, e = _back_substitute(list(exp_sum_series(a, order).coeffs))
             assert all(e_n == 0 or p_n % a for p_n, e_n in zip(p, e)), a
             assert max(e) <= 6, a
         # a unit c = +-1 divides every entry exactly: no power of c is left
         units = [
             exp_series(40),
             EgfSeries((-1, 4, 0, -3, 7, 1, -2, 0, 5)),
-            EgfSeries((Fraction(-1, 3), Fraction(2, 3), 1, Fraction(-5, 3), 0, 4)),
         ]
         for f in units:
-            coeffs, d = _cleared(f)
-            assert coeffs[0] in (1, -1)
-            assert _back_substitute(coeffs, d)[1] == [0] * len(coeffs)
+            assert f[0] in (1, -1)
+            assert _back_substitute(list(f.coeffs))[1] == [0] * len(f.coeffs)
 
 
 class TestScaleArg:
