@@ -195,3 +195,18 @@ class TestCongruence:
     def test_congruences_scale_by_integers(self, x, j, c, m):
         y = x + m * j
         assert congruent_mod(c * x, c * y, m)
+
+    @given(
+        st.integers(-10**30, 10**30),
+        st.integers(-10**30, 10**30),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+        st.integers(1, 200),
+    )
+    def test_congruences_multiply(self, x, u, j1, j2, m):
+        # over Z products of congruences are congruent; the int form of
+        # 1/3 = 10/3 (mod 3), whose squares were not, is 1 = 10 and 1 = 100
+        assert congruent_mod(1, 10, 3) and congruent_mod(1, 100, 3)
+        y = x + m * j1
+        v = u + m * j2
+        assert congruent_mod(x * u, y * v, m)
