@@ -18,7 +18,6 @@ from .series import (
 from .special import (
     BernoulliTable,
     bernoulli_table,
-    check_valuation_bound,
     gen_genocchi_bernoulli,
     gen_genocchi_table,
     genocchi_table,
@@ -50,7 +49,6 @@ __all__ = [
     "TheoremId",
     "VerificationReport",
     "bernoulli_table",
-    "check_valuation_bound",
     "congruent_mod",
     "coprime_part",
     "exp_sum_series",

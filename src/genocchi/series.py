@@ -59,6 +59,9 @@ class EgfSeries:
         if type(coeffs) is not tuple or not all(
             type(c) is int or type(c) is Fraction and c.denominator != 1 for c in coeffs
         ):
+            coeffs = tuple(coeffs)
+            if bad := [c for c in coeffs if not isinstance(c, (int, Fraction))]:
+                raise ValueError(f"a series coefficient must be an int or a Fraction, got {bad[0]!r}")
             coeffs = tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, coeffs))
             object.__setattr__(self, "coeffs", coeffs)
 

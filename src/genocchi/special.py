@@ -31,7 +31,7 @@ from itertools import accumulate
 from math import lcm
 from operator import add
 
-from .exact import ConsistencyError, factorize, is_prime
+from .exact import ConsistencyError, is_prime
 from .series import EgfSeries, exp_sum_series, series_mul, series_reciprocal
 
 
@@ -47,7 +47,10 @@ class BernoulliTable:
             raise ValueError("a Bernoulli table needs at least B_0")
         values = self.values
         if type(values) is not tuple or not all(type(v) is Fraction for v in values):
-            object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
+            values = tuple(values)
+            if bad := [v for v in values if not isinstance(v, (int, Fraction))]:
+                raise ValueError(f"a Bernoulli number must be an int or a Fraction, got {bad[0]!r}")
+            object.__setattr__(self, "values", tuple(map(Fraction, values)))
         if self.values[0] != 1:
             raise ValueError(f"B_0 must be 1, got {self.values[0]}")
         if len(self.values) > 1 and self.values[1] != Fraction(-1, 2):
@@ -157,7 +160,7 @@ def gen_genocchi_bernoulli(a: int, n_max: int, table: BernoulliTable) -> list[in
 def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:
     """B_n + sum of 1/p over primes p with (p-1) dividing n, for even n >= 2,
     added over the lcm of the denominators and built as one Fraction. The
-    sum is an integer; callers check that."""
+    sum is an integer, so nu_p(B_n) >= -1 at every prime; callers check it."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"the correction sum is defined for even n >= 2, got {n}")
     if table.max_index < n:
@@ -168,15 +171,3 @@ def von_staudt_clausen_sum(n: int, table: BernoulliTable) -> Fraction:
     primes = [d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1)]
     den = lcm(b.denominator, *primes)
     return Fraction(b.numerator * (den // b.denominator) + sum(den // p for p in primes), den)
-
-
-def check_valuation_bound(n: int, table: BernoulliTable) -> bool:
-    """Whether nu_p(B_n) >= -1 at every prime p, that is, whether the
-    denominator D of B_n is squarefree. B_n is in lowest terms, so
-    nu_p(B_n) = -e for each prime power p^e exactly dividing D, and
-    nu_p(B_n) >= 0 at every other p."""
-    if table.max_index < n:
-        raise ValueError(
-            f"Bernoulli table covers indices up to {table.max_index}, need {n}"
-        )
-    return all(e == 1 for _, e in factorize(table.values[n].denominator))

@@ -12,7 +12,7 @@ import pytest
 from genocchi.special import bernoulli_table, gen_genocchi_table, genocchi_table
 from genocchi.verify import TheoremId, run_grid
 from childproc import run_python
-from oracles import bernoulli_recurrence
+from oracles import bernoulli_recurrence, trial_factor
 
 THEOREM1_BUDGET_S = 60.0
 BERNOULLI_BUDGET_S = 300.0
@@ -94,10 +94,15 @@ def test_criterion_06_idc_closure_on_random_series():
 def test_criterion_07_von_staudt_clausen(bern500):
     table, _ = bern500
     r = run_grid(TheoremId.VSC_INTEGRALITY, (2, 200), None, bernoulli=table)
-    ok = r.failures == () and r.checked == 100
+    # nu_p(B_n) >= -1 everywhere is a squarefree denominator, factored here
+    # by the oracle's trial division
+    squarefree = all(
+        e == 1 for n in range(2, 201, 2) for _, e in trial_factor(table[n].denominator)
+    )
+    ok = r.failures == () and r.checked == 100 and squarefree
     _report(
         7, "B_n + sum 1/p integral and nu_p(B_n) >= -1 for even n<=200", ok,
-        f"checked={r.checked}, failures={len(r.failures)}",
+        f"checked={r.checked}, failures={len(r.failures)}, squarefree={squarefree}",
     )
 
 

@@ -72,7 +72,7 @@ def genocchi_egf(order):
 class TestEgfSeries:
     def test_coerces_and_freezes(self):
         # an integral coefficient is held as an int, any other as a
-        # Fraction in lowest terms, whatever form it came in
+        # Fraction in lowest terms, whatever normal form it came in
         f = EgfSeries([1, -2, Fraction(1, 3)])
         assert f.order == 2
         assert f[2] == Fraction(1, 3)
@@ -81,9 +81,17 @@ class TestEgfSeries:
         f = EgfSeries((Fraction(4, 2), Fraction(3, 2)))
         assert f.coeffs == (2, Fraction(3, 2))
         assert [type(c) for c in f.coeffs] == [int, Fraction]
-        g = EgfSeries((Fraction(-6, 3), 5, Fraction(6, 4), 0.5, True))
-        assert g.coeffs == (-2, 5, Fraction(3, 2), Fraction(1, 2), 1)
-        assert [type(c) for c in g.coeffs] == [int, int, Fraction, Fraction, int]
+        g = EgfSeries((Fraction(-6, 3), 5, Fraction(6, 4), True))
+        assert g.coeffs == (-2, 5, Fraction(3, 2), 1)
+        assert [type(c) for c in g.coeffs] == [int, int, Fraction, int]
+
+    @pytest.mark.parametrize("inexact", [0.5, "1/2"])
+    def test_rejects_inexact_coefficients(self, inexact):
+        # a float would enter as its binary expansion, a string as a parse
+        with pytest.raises(ValueError, match="int or a Fraction, got"):
+            EgfSeries((1, inexact))
+        with pytest.raises(ValueError, match="int or a Fraction, got"):
+            EgfSeries([Fraction(1, 3), 2, inexact])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

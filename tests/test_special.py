@@ -3,6 +3,7 @@ denominator structure of the Bernoulli numbers."""
 
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -14,12 +15,12 @@ from genocchi.series import EgfSeries, idc_reciprocal_scaled
 from genocchi.special import (
     BernoulliTable,
     bernoulli_table,
-    check_valuation_bound,
     gen_genocchi_bernoulli,
     gen_genocchi_table,
     genocchi_table,
     von_staudt_clausen_sum,
 )
+from genocchi.verify import TheoremId, run_grid
 from check_frontier import DIGESTS, digest
 from oracles import (
     BERNOULLI_FROZEN,
@@ -31,6 +32,7 @@ from oracles import (
     gen_genocchi_by_ordinary,
     genocchi_by_ordinary,
     scaled_reciprocal_by_ordinary,
+    trial_factor,
 )
 
 
@@ -102,10 +104,20 @@ class TestBernoulliTable:
             BernoulliTable((1, Fraction(-1, 2), Fraction(1, 6), Fraction(1, 30)))
         with pytest.raises(ValueError, match="B_0"):
             BernoulliTable(())
-        coerced = BernoulliTable([1, "-1/2", "1/6"])
+        coerced = BernoulliTable([1, Fraction(-1, 2), Fraction(1, 6)])
         assert coerced.values == (1, Fraction(-1, 2), Fraction(1, 6))
         assert type(coerced.values) is tuple
         assert all(type(v) is Fraction for v in coerced.values)
+
+    @pytest.mark.parametrize("values", [
+        (1, -0.5, Fraction(1, 6)),  # -0.5 is exact, but a float all the same
+        (1, Fraction(-1, 2), 1 / 6),
+        [1, "-1/2", Fraction(1, 6)],
+        (1, Fraction(-1, 2), "1/6"),
+    ])
+    def test_rejects_inexact_values(self, values):
+        with pytest.raises(ValueError, match="int or a Fraction, got"):
+            BernoulliTable(values)
 
 
 def reached(fn, *args):
@@ -337,21 +349,37 @@ class TestVonStaudtClausen:
 
 
 class TestValuationBound:
+    """nu_p(B_n) >= -1 at every prime p, that is a squarefree denominator of
+    B_n, follows from vsc_integrality: an integral s = B_n + sum 1/p over
+    distinct primes leaves B_n = s - sum 1/p a squarefree denominator. So a
+    table whose B_n has a square in its denominator fails vsc at n."""
+
     def test_holds_on_real_tables(self, bern64):
         for n in range(1, 65):
-            assert check_valuation_bound(n, bern64)
+            assert all(e == 1 for _, e in trial_factor(bern64[n].denominator)), n
 
-    def test_detects_violations(self):
-        # anchors are fine but B_2 here has a square denominator
-        doctored = BernoulliTable((Fraction(1), Fraction(-1, 2), Fraction(1, 12)))
-        assert not check_valuation_bound(2, doctored)
+    @pytest.mark.parametrize("b2", [
+        Fraction(1, 12),
+        # 101 is neither of the primes, 2 and 3, that B_2's sum adds
+        Fraction(1, 101**2),
+    ])
+    def test_detects_violations(self, b2):
+        doctored = BernoulliTable((Fraction(1), Fraction(-1, 2), b2))
+        r = run_grid(TheoremId.VSC_INTEGRALITY, (2, 2), None, bernoulli=doctored)
+        assert [(f.n, f.expected) for f in r.failures] == [(2, "an integer")]
 
-    def test_detects_large_prime_violation(self):
-        # the offending prime, 101, is past the default scan bound, so only
-        # the denominator factorization can catch it
-        doctored = BernoulliTable((Fraction(1), Fraction(-1, 2), Fraction(1, 101**2)))
-        assert not check_valuation_bound(2, doctored)
-
-    def test_rejects_short_table(self, bern64):
-        with pytest.raises(ValueError, match="table"):
-            check_valuation_bound(65, bern64)
+    def test_square_denominators_fail_integrality(self, bern64):
+        rng = random.Random(32)
+        dens = [p**e for p in (2, 3, 5, 7, 11, 13, 101) for e in (1, 2, 3)] + [36]
+        squares = 0
+        for _ in range(600):
+            values = list(bern64.values)
+            n = rng.randrange(2, 65, 2)
+            values[n] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.choice(dens))
+            if all(e == 1 for _, e in trial_factor(values[n].denominator)):
+                continue
+            squares += 1
+            doctored = BernoulliTable(tuple(values))
+            r = run_grid(TheoremId.VSC_INTEGRALITY, (n, n), None, bernoulli=doctored)
+            assert [f.n for f in r.failures] == [n], (n, values[n])
+        assert squares > 200

@@ -205,6 +205,8 @@ class TestGridCounting:
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             run_grid(TheoremId.THEOREM2, (1, 1), (2, 8))
+        with pytest.raises(ValueError, match=r"empty n-range for theorem1: \(5, 3\)"):
+            run_grid(TheoremId.THEOREM1, (5, 3), (2, 8))
         with pytest.raises(ValueError, match="empty"):
             run_grid(TheoremId.THEOREM1, (1, 10), (2, 1))
         with pytest.raises(ValueError, match="empty"):
@@ -216,6 +218,9 @@ class TestGridCounting:
     def test_a_range_required_when_used(self):
         with pytest.raises(ValueError, match="a-range"):
             run_grid(TheoremId.THEOREM1, (1, 10), None)
+        with pytest.raises(ValueError, match="a-range"):
+            # the a-range is checked before the n-range
+            run_grid(TheoremId.THEOREM1, (5, 3), None)
 
 
 @pytest.fixture
@@ -425,7 +430,6 @@ class TestFailureText:
             (6, "B_n + sum 1/p = 4/3", "an integer"),
             (10, "B_n + sum 1/p = 6/5", "an integer"),
             (12, "B_n + sum 1/p = 5/4", "an integer"),
-            (12, "some nu_p(B_12) < -1", "nu_p >= -1 at every prime"),
             (16, "B_n + sum 1/p = -41/7", "an integer"),
         ]
 
