@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"order {args.order} is below 1 for {prop1.value}")
 
     bernoulli = None
-    if any(STATEMENTS[t].bernoulli_offset is not None for t in theorems):
+    if any(STATEMENTS[t].bernoulli for t in theorems):
         cache_path = args.cache_path or default_cache_path()
         bernoulli = get_or_build(cache_path, args.n_max)
 

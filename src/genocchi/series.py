@@ -53,8 +53,6 @@ class EgfSeries:
     coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a series needs at least its order-0 coefficient")
         coeffs = self.coeffs
         if type(coeffs) is not tuple or not all(
             type(c) is int or type(c) is Fraction and c.denominator != 1 for c in coeffs
@@ -64,6 +62,8 @@ class EgfSeries:
                 raise ValueError(f"a series coefficient must be an int or a Fraction, got {bad[0]!r}")
             coeffs = tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, coeffs))
             object.__setattr__(self, "coeffs", coeffs)
+        if not self.coeffs:
+            raise ValueError("a series needs at least its order-0 coefficient")
 
     @property
     def order(self) -> int:

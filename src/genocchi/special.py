@@ -43,14 +43,14 @@ class BernoulliTable:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("a Bernoulli table needs at least B_0")
         values = self.values
         if type(values) is not tuple or not all(type(v) is Fraction for v in values):
             values = tuple(values)
             if bad := [v for v in values if not isinstance(v, (int, Fraction))]:
                 raise ValueError(f"a Bernoulli number must be an int or a Fraction, got {bad[0]!r}")
             object.__setattr__(self, "values", tuple(map(Fraction, values)))
+        if not self.values:
+            raise ValueError("a Bernoulli table needs at least B_0")
         if self.values[0] != 1:
             raise ValueError(f"B_0 must be 1, got {self.values[0]}")
         if len(self.values) > 1 and self.values[1] != Fraction(-1, 2):

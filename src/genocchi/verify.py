@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -96,7 +96,7 @@ def _prop1_trial_series(trial: int, order: int) -> list[int]:
     return values
 
 
-# A statement's table, and the ways a point fails. These reach package
+# A statement's table, and the way a point fails. These reach package
 # functions through module globals at call time, so rebinding a module
 # attribute (as a tracer does) takes effect here too.
 
@@ -112,68 +112,66 @@ def _column(a: int, n_hi: int) -> list[int]:
     return genocchi_table(n_hi) if a == 2 else gen_genocchi_table(a, n_hi)
 
 
-def _lemma_n_div_failures(n, a, g, bern, order):
+def _lemma_n_div_failures(n, a, g, beside):
     r = pow(a, n - 1, n) * g % n
     if r:
-        yield f"a^(n-1)*G = {r} (mod {n}) with G = {g}", f"0 (mod {n})"
+        return f"a^(n-1)*G = {r} (mod {n}) with G = {g}", f"0 (mod {n})"
 
 
-def _theorem1_failures(n, a, g, bern, order):
+def _theorem1_failures(n, a, g, beside):
     pi = coprime_part(n, a)
     r = g % pi
     if r:
-        yield f"G = {g} = {r} (mod {pi})", f"0 (mod {pi})"
+        return f"G = {g} = {r} (mod {pi})", f"0 (mod {pi})"
 
 
-def _theorem2_failures(n, a, g, bern, order):
+def _theorem2_failures(n, a, g, beside):
     # G - (1 - n*a/2) = x/2 with x = 2(G - 1) + n*a; in lowest terms its
     # numerator is x when x is odd and x/2 when x is even
     x = 2 * (g - 1) + n * a
     num = x if x & 1 else x >> 1
     if not congruent_mod(num, 0, a):
-        yield f"num(G - (1 - n*a/2)) = {num}", f"0 (mod {a})"
+        return f"num(G - (1 - n*a/2)) = {num}", f"0 (mod {a})"
 
 
-def _corollary2_failures(n, a, g, bern, order):
+def _corollary2_failures(n, a, g, beside):
     # odd a: G = 1 (mod a) for all n; even a: 1 for even n, 1 + a/2 for odd n
     target = (1 + a // 2 if a % 2 == 0 and n % 2 == 1 else 1) % a
     r = g % a
     if r != target:
-        yield f"G = {r} (mod {a})", f"{target} (mod {a})"
+        return f"G = {r} (mod {a})", f"{target} (mod {a})"
 
 
-def _gcd_corollary_failures(n, a, g, bern, order):
+def _gcd_corollary_failures(n, a, g, beside):
     d = gcd(g, a)
     if d not in (1, 2) or (d == 2) != (a % 4 == 2 and n % 2 == 1):
-        yield f"gcd(G, a) = {d} with G = {g}", "1, or 2 exactly when a = 2 (mod 4) and n is odd"
+        return f"gcd(G, a) = {d} with G = {g}", "1, or 2 exactly when a = 2 (mod 4) and n is odd"
 
 
-def _odd_genocchi_failures(n, a, g, bern, order):
+def _odd_genocchi_failures(n, a, g, beside):
     if g % 2 != 1:
-        yield f"G_{n} = {g}", "an odd integer"
+        return f"G_{n} = {g}", "an odd integer"
 
 
-def _vsc_integrality_failures(n, a, g, bern, order):
+def _vsc_integrality_failures(n, a, g, bern):
     s = von_staudt_clausen_sum(n, bern)
     if s.denominator != 1:
-        yield f"B_n + sum 1/p = {s}", "an integer"
+        return f"B_n + sum 1/p = {s}", "an integer"
 
 
-def _prop1_idc_failures(n, a, g, bern, order):
+def _prop1_idc_failures(n, a, g, order):
     # n is the trial index; run_grid has resolved the order
     h = idc_reciprocal_scaled(_prop1_trial_series(n, order))
     if any(h_k.denominator != 1 for h_k in h):
-        yield (
+        return (
             f"scaled reciprocal left the integers (trial {n})",
             f"integer coefficients through order {order}",
         )
 
 
-def _prop2_equiv_failures(n, a, g, by_sums, order):
-    """Unlike the other describers, this one is handed in the `bern` slot
-    the base-a column G_{0..,a} by the Bernoulli-sum route, not the table."""
+def _prop2_equiv_failures(n, a, g, by_sums):
     if by_sums[n] != g:
-        yield f"series route {g}, Bernoulli route {by_sums[n]}", "exact equality"
+        return f"series route {g}, Bernoulli route {by_sums[n]}", "exact equality"
 
 
 @dataclass(frozen=True)
@@ -184,20 +182,19 @@ class Statement:
     `table` is set, each point's value g comes from the base-a column, or
     from the classical column when a is None; otherwise g is None. A
     mutation bumps a table value, so only statements with a table take one.
-    `describe(n, a, g, bern, order)` yields one (observed, expected) pair per
-    way the point fails, and nothing when it holds. `bern` is None, the
-    Bernoulli table, or for prop2_equiv the base-a column by the
-    Bernoulli-sum route.
+    `describe(n, a, g, beside)` returns the (observed, expected) pair of a
+    failing point, or None. `beside` is the one value it reads besides G:
+    the Bernoulli table (vsc_integrality), the trial order (prop1_idc), the
+    base-a column by the Bernoulli-sum route (prop2_equiv), or None.
     """
 
-    describe: Callable[..., Iterator[tuple[str, str]]]
+    describe: Callable[..., tuple[str, str] | None]
     min_n: int = 1
     even_only: bool = False
     even_base_min_n: int = 1  # smallest n checked at an even base
     over_a: bool = False
     table: bool = False
-    bernoulli_offset: int | None = None  # needs B_0..B_{n_hi + offset}
-    note: str | None = None
+    bernoulli: bool = False  # reads a Bernoulli table
 
     def n_values(self, a: int | None, n_lo: int, n_hi: int) -> range:
         """The n checked at base a, within the clamped [n_lo, n_hi]."""
@@ -213,20 +210,16 @@ STATEMENTS: dict[TheoremId, Statement] = {
     TheoremId.THEOREM1: Statement(_theorem1_failures, over_a=True, table=True),
     TheoremId.THEOREM2: Statement(_theorem2_failures, min_n=2, over_a=True, table=True),
     TheoremId.COROLLARY2: Statement(
-        _corollary2_failures,
-        even_base_min_n=2,
-        over_a=True,
-        table=True,
-        note="even bases checked for n >= 2, odd bases for n >= 1",
+        _corollary2_failures, even_base_min_n=2, over_a=True, table=True
     ),
     TheoremId.GCD_COROLLARY: Statement(_gcd_corollary_failures, min_n=2, over_a=True, table=True),
     TheoremId.ODD_GENOCCHI: Statement(_odd_genocchi_failures, min_n=2, even_only=True, table=True),
     TheoremId.VSC_INTEGRALITY: Statement(
-        _vsc_integrality_failures, min_n=2, even_only=True, bernoulli_offset=0
+        _vsc_integrality_failures, min_n=2, even_only=True, bernoulli=True
     ),
     TheoremId.PROP1_IDC: Statement(_prop1_idc_failures),
     TheoremId.PROP2_EQUIV: Statement(
-        _prop2_equiv_failures, over_a=True, table=True, bernoulli_offset=-1
+        _prop2_equiv_failures, over_a=True, table=True, bernoulli=True
     ),
 }
 
@@ -301,8 +294,11 @@ def run_grid(
         bases = range(a_lo, a_hi + 1)
     elif a_range is not None:
         notes.append(f"{theorem.value} does not range over a; a-range ignored")
-    if statement.note is not None:
-        notes.append(statement.note)
+    if statement.even_base_min_n > statement.min_n:
+        notes.append(
+            f"even bases checked for n >= {statement.even_base_min_n}, "
+            f"odd bases for n >= {statement.min_n}"
+        )
     if not any(statement.n_values(a, n_lo, n_hi) for a in bases):
         raise ValueError(f"empty n-range for {theorem.value}: {n_range}")
 
@@ -324,13 +320,8 @@ def run_grid(
         notes.append(f"mutation applied at (n={mn}, a={ma})")
 
     bern = None
-    if statement.bernoulli_offset is not None:
+    if statement.bernoulli:
         bern = bernoulli if bernoulli is not None else bernoulli_table(n_hi)
-        needed = n_hi + statement.bernoulli_offset
-        if bern.max_index < needed:
-            raise ValueError(
-                f"Bernoulli table covers indices up to {bern.max_index}, grid needs {needed}"
-            )
 
     if theorem is TheoremId.PROP1_IDC:
         order = PROP1_DEFAULT_ORDER if order is None else order
@@ -346,9 +337,9 @@ def run_grid(
         missing = [a for a in map(_base, bases) if (a, n_hi) not in columns]
         built = _map(_column, missing, repeat(n_hi), jobs=jobs)
         columns.update(((a, n_hi), column) for a, column in zip(missing, built))
-    # what the describer reads beside G: prop2_equiv reads its base's column
-    # by the Bernoulli-sum route, the other statements `bern`
-    besides = repeat(bern)
+    # what the describer reads beside G: prop1_idc its order, prop2_equiv its
+    # base's column by the Bernoulli-sum route, the other statements `bern`
+    besides = repeat(order if theorem is TheoremId.PROP1_IDC else bern)
     if theorem is TheoremId.PROP2_EQUIV:
         besides = _map(gen_genocchi_bernoulli, bases, repeat(n_hi), repeat(bern), jobs=jobs)
     failures: list[GridFailure] = []
@@ -362,13 +353,9 @@ def run_grid(
                 values[mn] += 1
         n_values = statement.n_values(a, n_lo, n_hi)
         checked += len(n_values)
-        failures += (
-            GridFailure(n, a, observed, expected)
-            for n in n_values
-            for observed, expected in statement.describe(
-                n, a, None if values is None else values[n], beside, order
-            )
-        )
+        for n in n_values:
+            if fault := statement.describe(n, a, None if values is None else values[n], beside):
+                failures.append(GridFailure(n, a, *fault))
     failures.sort(key=lambda fl: (fl.n, fl.a if fl.a is not None else 0))
     if mutate is not None and not any((f.n, f.a) == (mn, at) for f in failures):
         # a bump the statement cannot see would pass the self-test silently

@@ -97,6 +97,11 @@ class TestEgfSeries:
         with pytest.raises(ValueError):
             EgfSeries(())
 
+    def test_rejects_empty_iterator(self):
+        # the emptiness test runs on the converted tuple, not on the iterator
+        with pytest.raises(ValueError, match="order-0 coefficient"):
+            EgfSeries(c for c in [])
+
     def test_value_equality(self):
         assert EgfSeries((1, 2)) == EgfSeries((Fraction(1), Fraction(2)))
 

@@ -109,6 +109,11 @@ class TestBernoulliTable:
         assert type(coerced.values) is tuple
         assert all(type(v) is Fraction for v in coerced.values)
 
+    def test_rejects_empty_iterator(self):
+        # the emptiness test runs on the converted tuple, not on the iterator
+        with pytest.raises(ValueError, match="needs at least B_0"):
+            BernoulliTable(v for v in [])
+
     @pytest.mark.parametrize("values", [
         (1, -0.5, Fraction(1, 6)),  # -0.5 is exact, but a float all the same
         (1, Fraction(-1, 2), 1 / 6),

@@ -29,10 +29,15 @@ from oracles import prop1_trial_by_randint
 
 
 def failures_for(theorem, n, a, g, beside=None):
-    """The (observed, expected) pairs a statement's describer yields for the
-    value g at (n, a); `beside` is what it reads besides G (prop2_equiv's
-    Bernoulli-sum column). Empty when g satisfies the statement."""
-    return list(STATEMENTS[theorem].describe(n, a, g, beside, None))
+    """The (observed, expected) pair a statement's describer returns for the
+    value g at (n, a), as a list of at most one pair; `beside` is what it
+    reads besides G (prop2_equiv's Bernoulli-sum column). Empty when g
+    satisfies the statement."""
+    fault = STATEMENTS[theorem].describe(n, a, g, beside)
+    assert fault is None or (
+        type(fault) is tuple and len(fault) == 2 and all(type(s) is str for s in fault)
+    ), fault
+    return [] if fault is None else [fault]
 
 
 class TestPointChecks:
@@ -451,10 +456,11 @@ class TestBernoulliPlumbing:
         assert r.failures == ()
 
     def test_short_table_rejected(self):
+        # the route that reads the table rejects it, naming the index it needs
         table = bernoulli_table(10)
-        with pytest.raises(ValueError, match="Bernoulli table"):
+        with pytest.raises(ValueError, match=r"Bernoulli table covers indices up to 10, need 23$"):
             run_grid(TheoremId.PROP2_EQUIV, (1, 24), (2, 5), bernoulli=table)
-        with pytest.raises(ValueError, match="Bernoulli table"):
+        with pytest.raises(ValueError, match=r"Bernoulli table covers indices up to 10, need 12$"):
             run_grid(TheoremId.VSC_INTEGRALITY, (2, 24), None, bernoulli=table)
 
     def test_vsc_grid_with_supplied_table(self):
