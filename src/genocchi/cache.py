@@ -1,17 +1,19 @@
 """Disk cache for Bernoulli tables.
 
 The format is one JSON object on one line, from json's C encoder:
-format_version (currently 1), max_index, and one entry per index with
-numerator and denominator as decimal strings, so arbitrarily large values
-survive any JSON parser. A file is valid, indented or not, exactly when
-each entry equals the one save_bernoulli_cache writes for the table of
-the Bernoulli kernel, Seidel's triangle: canonical decimal strings (no
-whitespace, underscores, leading zeros or non-ASCII digits) and no other
-keys. A loaded table is the kernel's own. A bad file raises
+format_version (currently 2) and entries, where entry i is the pair
+[numerator, denominator] of B_i as decimal strings, so arbitrarily large
+values survive any JSON parser. There is no index field and no max_index:
+the last entry's position is the table's max_index. A file is valid,
+indented or not, exactly when its entries equal the ones
+save_bernoulli_cache writes for the table of the Bernoulli kernel,
+Seidel's triangle: canonical decimal strings (no whitespace, underscores,
+leading zeros or non-ASCII digits) and nothing else in a pair. A loaded
+table is the kernel's own. A bad file, a format-1 file included, raises
 CacheCorruptionError naming the file (a bad entry i as "entry i fails
-re-derivation"); an unwritable one, or values past the int string digit
-limit (B_2064 on, by default) before sys.set_int_max_str_digits(0), raise
-CacheError.
+re-derivation"); deleting it lets the next run rebuild it. An unwritable
+file, or values past the int string digit limit (B_2064 on, by default)
+before sys.set_int_max_str_digits(0), raise CacheError.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from .special import BernoulliTable, _seidel_bernoulli, bernoulli_table
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class CacheError(Exception):
@@ -35,12 +37,9 @@ class CacheCorruptionError(CacheError):
     it applies, the entry index."""
 
 
-def _entries(table: BernoulliTable, p: Path) -> list[dict]:
+def _entries(table: BernoulliTable, p: Path) -> list[list[str]]:
     try:  # str() raises ValueError past the interpreter's int string digit limit
-        return [
-            {"index": i, "num": str(v.numerator), "den": str(v.denominator)}
-            for i, v in enumerate(table.values)
-        ]
+        return [[str(v.numerator), str(v.denominator)] for v in table.values]
     except ValueError as exc:
         raise CacheError(f"cache file {p}: values need sys.set_int_max_str_digits(0)") from exc
 
@@ -49,11 +48,7 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
     """Write the table to path atomically: a temp file of its own in the same
     directory, then replace, so concurrent writers never share a temp file."""
     p = Path(path)
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "max_index": table.max_index,
-        "entries": _entries(table, p),
-    }
+    payload = {"format_version": CACHE_FORMAT_VERSION, "entries": _entries(table, p)}
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
@@ -69,11 +64,11 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
 
 
 def load_bernoulli_cache(path) -> BernoulliTable:
-    """The table from Seidel's triangle to the file's max_index, once every
-    entry equals the one save_bernoulli_cache writes for it. The shape is
-    checked first, so the kernel never runs past the entries the file holds.
-    The kernel alone suffices: the table it checks was cross-checked against
-    the Genocchi column when it was built."""
+    """The table from Seidel's triangle to the file's last entry, once every
+    entry equals the one save_bernoulli_cache writes for it. The kernel runs
+    only as far as the entries the file holds, and alone suffices: the table
+    it checks was cross-checked against the Genocchi column when it was
+    built."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="ascii"))
@@ -88,19 +83,15 @@ def load_bernoulli_cache(path) -> BernoulliTable:
             f"cache file {p}: format_version {version!r} "
             f"is not {CACHE_FORMAT_VERSION}"
         )
-    max_index = raw.get("max_index")
     entries = raw.get("entries")
-    if type(max_index) is not int or not isinstance(entries, list):
-        raise CacheCorruptionError(f"cache file {p}: missing max_index or entries")
-    if max_index < 0 or len(entries) != max_index + 1:
-        raise CacheCorruptionError(
-            f"cache file {p}: {len(entries)} entries for max_index {max_index}"
-        )
-    table = BernoulliTable(tuple(_seidel_bernoulli(max_index)))
-    for i, (entry, expected) in enumerate(zip(entries, _entries(table, p))):
-        # a float or boolean index compares equal to its int: JSON true == 1
-        if entry != expected or type(entry["index"]) is not int:
-            raise CacheCorruptionError(f"cache file {p}: entry {i} fails re-derivation")
+    if type(entries) is not list or not entries:
+        raise CacheCorruptionError(f"cache file {p}: no entries")
+    table = BernoulliTable(tuple(_seidel_bernoulli(len(entries) - 1)))
+    expected = _entries(table, p)
+    # a string equals only the same string, so this one comparison is exact
+    if entries != expected:
+        i = next(i for i, (got, want) in enumerate(zip(entries, expected)) if got != want)
+        raise CacheCorruptionError(f"cache file {p}: entry {i} fails re-derivation")
     return table
 
 

@@ -21,6 +21,13 @@ def _tamper(path, mutate):
     path.write_text(json.dumps(raw))
 
 
+def _replace(i, pair):
+    """A tamper that puts pair in place of entry i."""
+    def mutate(raw):
+        raw["entries"][i] = pair
+    return mutate
+
+
 class TestRoundTrip:
     def test_reproduces_exact_table(self, tmp_path):
         table = bernoulli_table(300)
@@ -28,12 +35,13 @@ class TestRoundTrip:
         save_bernoulli_cache(path, table)
         assert load_bernoulli_cache(path) == table
 
-    def test_repeated_loads_pass_spot_checks(self, tmp_path):
+    def test_repeated_loads_return_the_same_table(self, tmp_path):
         # every load re-derives every entry, so each load checks the same way
         path = tmp_path / "b.json"
-        save_bernoulli_cache(path, bernoulli_table(60))
+        table = bernoulli_table(60)
+        save_bernoulli_cache(path, table)
         for _ in range(20):
-            assert load_bernoulli_cache(path).max_index == 60
+            assert load_bernoulli_cache(path) == table
 
     def test_tiny_table(self, tmp_path):
         path = tmp_path / "b.json"
@@ -59,13 +67,22 @@ class TestRoundTrip:
         path = tmp_path / "b.json"
         save_bernoulli_cache(path, bernoulli_table(12))
         raw = json.loads(path.read_text(encoding="ascii"))
-        assert raw["format_version"] == 1
-        assert raw["max_index"] == 12
-        assert raw["entries"][12] == {"index": 12, "num": "-691", "den": "2730"}
+        assert sorted(raw) == ["entries", "format_version"]
+        assert raw["format_version"] == 2
+        assert len(raw["entries"]) == 13
+        assert raw["entries"][12] == ["-691", "2730"]
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "b.json"
+        save_bernoulli_cache(path, bernoulli_table(4))
+        assert path.read_bytes() == (
+            b'{"format_version": 2, "entries": '
+            b'[["1", "1"], ["-1", "2"], ["1", "6"], ["0", "1"], ["-1", "30"]]}'
+        )
 
     def test_indented_file_loads(self, tmp_path):
-        # earlier writers indented the file; the loader compares parsed
-        # entries, so the whitespace between tokens does not matter
+        # the loader compares parsed entries, so the whitespace between
+        # tokens does not matter
         path = tmp_path / "b.json"
         table = bernoulli_table(20)
         save_bernoulli_cache(path, table)
@@ -112,66 +129,98 @@ class TestCorruption:
 
     def test_value_tamper_is_caught(self, cache_path):
         # every entry is compared with its re-derived value
-        _tamper(cache_path, lambda raw: raw["entries"][2].update(num="7"))
-        self._expect_corruption(cache_path)
+        _tamper(cache_path, _replace(2, ["7", "6"]))
+        self._expect_corruption(cache_path, "entry 2 fails re-derivation")
 
     def test_last_entry_sign_flip_fails_every_load(self, cache_path):
         def flip(raw):
             entry = raw["entries"][40]
-            entry["num"] = str(-int(entry["num"]))
+            entry[0] = str(-int(entry[0]))
 
         _tamper(cache_path, flip)
         for _ in range(20):
             self._expect_corruption(cache_path, "entry 40 fails re-derivation")
 
     def test_anchor_tamper_is_caught(self, cache_path):
-        _tamper(cache_path, lambda raw: raw["entries"][1].update(num="1"))
-        self._expect_corruption(cache_path)
+        _tamper(cache_path, _replace(1, ["1", "2"]))
+        self._expect_corruption(cache_path, "entry 1 fails re-derivation")
 
     def test_zero_denominator(self, cache_path):
-        _tamper(cache_path, lambda raw: raw["entries"][4].update(den="0"))
+        _tamper(cache_path, _replace(4, ["-1", "0"]))
         self._expect_corruption(cache_path, "entry 4 fails re-derivation")
 
     def test_not_lowest_terms(self, cache_path):
-        _tamper(cache_path, lambda raw: raw["entries"][2].update(num="2", den="12"))
+        _tamper(cache_path, _replace(2, ["2", "12"]))
         self._expect_corruption(cache_path, "entry 2 fails re-derivation")
 
     def test_wrong_format_version(self, cache_path):
-        _tamper(cache_path, lambda raw: raw.update(format_version=2))
-        self._expect_corruption(cache_path, "format_version")
+        _tamper(cache_path, lambda raw: raw.update(format_version=1))
+        self._expect_corruption(cache_path, "format_version 1 is not 2")
+
+    def test_format_1_file_raises(self, tmp_path):
+        # the format written before pairs: an index per entry and a max_index
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "max_index": 2,
+            "entries": [
+                {"index": 0, "num": "1", "den": "1"},
+                {"index": 1, "num": "-1", "den": "2"},
+                {"index": 2, "num": "1", "den": "6"},
+            ],
+        }))
+        self._expect_corruption(path, "format_version 1 is not 2")
 
     def test_entry_count_mismatch(self, cache_path):
-        _tamper(cache_path, lambda raw: raw["entries"].pop())
-        self._expect_corruption(cache_path, "entries")
-
-    def test_index_mismatch(self, cache_path):
-        _tamper(cache_path, lambda raw: raw["entries"][3].update(index=30))
+        # a dropped entry shifts the rest onto the wrong indices; a dropped
+        # last entry leaves the valid cache of a shorter table
+        _tamper(cache_path, lambda raw: raw["entries"].pop(3))
         self._expect_corruption(cache_path, "entry 3 fails re-derivation")
+        save_bernoulli_cache(cache_path, bernoulli_table(40))
+        _tamper(cache_path, lambda raw: raw["entries"].pop())
+        assert load_bernoulli_cache(cache_path) == bernoulli_table(39)
+
+    def test_empty_entries(self, cache_path):
+        # caught before BernoulliTable, which raises ValueError on no values
+        for entries in ([], None, {}, "1"):
+            _tamper(cache_path, lambda raw: raw.update(entries=entries))
+            self._expect_corruption(cache_path, "no entries")
+        _tamper(cache_path, lambda raw: raw.pop("entries"))
+        self._expect_corruption(cache_path, "no entries")
+
+    def test_malformed_pair(self, tmp_path):
+        cases = [
+            (3, ["0", "1", "1"]),  # a third string
+            (0, ["1"]),  # a lone string
+            (6, {"num": "1", "den": "42"}),  # a format-1 entry without its index
+            (2, [1, "6"]),  # a JSON number for a string
+            (2, ["1", 6]),
+        ]
+        path = tmp_path / "b.json"
+        for i, pair in cases:
+            save_bernoulli_cache(path, bernoulli_table(40))
+            _tamper(path, _replace(i, pair))
+            self._expect_corruption(path, f"entry {i} fails re-derivation")
 
     def test_non_numeric_entry(self, tmp_path):
-        # num and den are canonical decimal strings and index, max_index and
-        # format_version plain ints: int() would take every value here but
-        # "x", and B_0 = 1 and B_1 = -1/2 would still read right
-        def entry(i, **fields):
-            mutate = lambda raw: raw["entries"][i].update(fields)
-            return 40, mutate, f"entry {i} fails re-derivation"
+        # num and den are canonical decimal strings and format_version a plain
+        # int: int() would take every value here but "x", and B_0 = 1 and
+        # B_1 = -1/2 would still read right
+        def entry(i, pair):
+            return 40, _replace(i, pair), f"entry {i} fails re-derivation"
 
         cases = [
-            entry(5, num="x"),
-            entry(1, den=2.7),
-            entry(0, num=1.0),
-            entry(0, num=True),
-            entry(1, num=-1),
-            entry(1, index=True),
-            entry(1, index=1.0),
-            entry(1, num=" -1\n"),
-            entry(1, den="0_2"),
-            entry(0, num="\u0661"),  # Arabic-Indic digit one
-            entry(1, num="-01"),
+            entry(5, ["x", "1"]),
+            entry(1, ["-1", 2.7]),
+            entry(0, [1.0, "1"]),
+            entry(0, [True, "1"]),
+            entry(1, [-1, "2"]),
+            entry(1, [" -1\n", "2"]),
+            entry(1, ["-1", "0_2"]),
+            entry(0, ["\u0661", "1"]),  # Arabic-Indic digit one
+            entry(1, ["-01", "2"]),
             (40, lambda raw: raw.update(format_version=True), "format_version"),
-            (40, lambda raw: raw.update(format_version=1.0), "format_version"),
-            (1, lambda raw: raw.update(max_index=True), "missing max_index"),
-            (1, lambda raw: raw.update(max_index=-1, entries=[]), "0 entries for max_index -1"),
+            (40, lambda raw: raw.update(format_version=2.0), "format_version"),
         ]
         for max_index, mutate, fragment in cases:
             path = tmp_path / "b.json"
@@ -215,7 +264,7 @@ class TestGetOrBuild:
     def test_corrupt_cache_raises_instead_of_rebuilding(self, tmp_path):
         path = tmp_path / "b.json"
         save_bernoulli_cache(path, bernoulli_table(15))
-        _tamper(path, lambda raw: raw["entries"][2].update(num="7"))
+        _tamper(path, _replace(2, ["7", "6"]))
         before = path.read_text()
         with pytest.raises(CacheCorruptionError):
             get_or_build(path, 10)

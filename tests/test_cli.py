@@ -177,21 +177,21 @@ class TestBernoulliCommand:
         path = tmp_path / "b.json"
         save_bernoulli_cache(path, bernoulli_table(10))
         raw = json.loads(path.read_text())
-        raw["entries"][2]["num"] = "7"
+        raw["entries"][2][0] = "7"
         path.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
         assert str(path) in err and "entry" in err
-        raw["entries"][2]["num"] = "1"
-        raw["entries"][1]["den"] = 2.7  # int() would read 2, and B_1 = -1/2
+        raw["entries"][2][0] = "1"
+        raw["entries"][1][1] = 2.7  # int() would read 2, and B_1 = -1/2
         path.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
         assert str(path) in err and "entry 1 fails re-derivation" in err
         # int() reads each of these strings as the right value
-        raw["entries"][1]["den"] = "0_2"
-        raw["entries"][1]["num"] = " -1\n"
-        raw["entries"][0]["num"] = "\u0661"
+        raw["entries"][1][1] = "0_2"
+        raw["entries"][1][0] = " -1\n"
+        raw["entries"][0][0] = "\u0661"
         path.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
@@ -564,7 +564,7 @@ class TestFaultMatrix:
         if fault == "file":
             raw = json.loads(path.read_text())
             entry = raw["entries"][8]
-            entry["num"] = str(int(entry["num"]) + 1)
+            entry[0] = str(int(entry[0]) + 1)
             path.write_text(json.dumps(raw))
         else:
             home, name, modules, n, base = FAULTS[fault]
