@@ -37,9 +37,9 @@ class CacheCorruptionError(CacheError):
     it applies, the entry index."""
 
 
-def _entries(table: BernoulliTable, p: Path) -> list[list[str]]:
+def _entries(values, p: Path) -> list[list[str]]:
     try:  # str() raises ValueError past the interpreter's int string digit limit
-        return [[str(v.numerator), str(v.denominator)] for v in table.values]
+        return [[str(v.numerator), str(v.denominator)] for v in values]
     except ValueError as exc:
         raise CacheError(f"cache file {p}: values need sys.set_int_max_str_digits(0)") from exc
 
@@ -48,7 +48,7 @@ def save_bernoulli_cache(path, table: BernoulliTable) -> None:
     """Write the table to path atomically: a temp file of its own in the same
     directory, then replace, so concurrent writers never share a temp file."""
     p = Path(path)
-    payload = {"format_version": CACHE_FORMAT_VERSION, "entries": _entries(table, p)}
+    payload = {"format_version": CACHE_FORMAT_VERSION, "entries": _entries(table.values, p)}
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name + ".", suffix=".tmp")
@@ -68,7 +68,8 @@ def load_bernoulli_cache(path) -> BernoulliTable:
     entry equals the one save_bernoulli_cache writes for it. The kernel runs
     only as far as the entries the file holds, and alone suffices: the table
     it checks was cross-checked against the Genocchi column when it was
-    built."""
+    built. B_0, B_1 and the zero odd B_n are compared first, so a file wrong
+    there pays the kernel only for the entries before the first wrong one."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="ascii"))
@@ -86,13 +87,22 @@ def load_bernoulli_cache(path) -> BernoulliTable:
     entries = raw.get("entries")
     if type(entries) is not list or not entries:
         raise CacheCorruptionError(f"cache file {p}: no entries")
-    table = BernoulliTable(tuple(_seidel_bernoulli(len(entries) - 1)))
-    expected = _entries(table, p)
+    # B_0, B_1 and every odd B_n from B_3 on are fixed pairs, compared
+    # first: the kernel runs only to the entry before the first wrong one,
+    # and only its even entries are left to compare
+    fixed = entries[:2] + entries[3::2]
+    want = [["1", "1"], ["-1", "2"], *[["0", "1"]] * (len(fixed) - 2)][: len(fixed)]
+    stop = len(entries)
+    if fixed != want:
+        j = next(j for j, (got, w) in enumerate(zip(fixed, want)) if got != w)
+        stop = j if j < 2 else 2 * j - 1
+    values = _seidel_bernoulli(stop - 1) if stop else []
+    evens, expected = entries[:stop:2], _entries(values[::2], p)
     # a string equals only the same string, so this one comparison is exact
-    if entries != expected:
-        i = next(i for i, (got, want) in enumerate(zip(entries, expected)) if got != want)
+    if stop < len(entries) or evens != expected:
+        i = next((2 * j for j, (got, w) in enumerate(zip(evens, expected)) if got != w), stop)
         raise CacheCorruptionError(f"cache file {p}: entry {i} fails re-derivation")
-    return table
+    return BernoulliTable(tuple(values))
 
 
 def get_or_build(path, max_index: int) -> BernoulliTable:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from genocchi import cache
 from genocchi.cache import (
     CacheCorruptionError,
     CacheError,
@@ -227,6 +228,33 @@ class TestCorruption:
             save_bernoulli_cache(path, bernoulli_table(max_index))
             _tamper(path, mutate)
             self._expect_corruption(path, fragment)
+
+    def test_wrong_fixed_pair_stops_the_kernel_short(self, tmp_path, monkeypatch):
+        # B_0, B_1 and the odd B_n are compared before Seidel's triangle runs,
+        # which then stops at the entry before the first wrong one of them
+        asked = []
+        kernel = cache._seidel_bernoulli
+
+        def seidel(max_index):
+            asked.append(max_index)
+            return kernel(max_index)
+
+        monkeypatch.setattr(cache, "_seidel_bernoulli", seidel)
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"format_version": 2, "entries": [["x", "x"]] * 2001}))
+        self._expect_corruption(path, "entry 0 fails re-derivation")
+        assert asked == []
+        # entry 150 is even, so naming it takes B_150 and no entry past it
+        entries = cache._entries(kernel(300), path)
+        entries[150:] = [["x", "x"]] * 151
+        path.write_text(json.dumps({"format_version": 2, "entries": entries}))
+        self._expect_corruption(path, "entry 150 fails re-derivation")
+        assert asked == [150]
+        # a wrong even entry before the first wrong fixed pair is the one named
+        entries[100] = ["1", "1"]
+        path.write_text(json.dumps({"format_version": 2, "entries": entries}))
+        self._expect_corruption(path, "entry 100 fails re-derivation")
+        assert asked == [150, 150]
 
     def test_unparseable_file(self, cache_path):
         # json.loads recurses once per bracket: deep nesting is RecursionError

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from genocchi.series import (
     EgfSeries,
     _back_substitute,
+    _pascal_rows,
     exp_sum_series,
     idc_reciprocal_scaled,
     series_mul,
@@ -227,6 +228,12 @@ class TestReciprocal:
             EgfSeries(tuple((-2) ** (k + 1) * b for k, b in enumerate(
                 [1, 3, -1, 0, 2, -5, 4, 1, 0, -3, 2]))),
         ]
+        # orders 0..3 read the Pascal rows n = 1, 2 and 3, whose mirrored
+        # halves are the shortest
+        inputs += [
+            EgfSeries((c, *(rng.randint(-9, 9) for _ in range(order))))
+            for c in (1, -1, 2, 6) for order in range(4) for _ in range(5)
+        ]
         for f in inputs:
             via_binomial = series_reciprocal(f).coeffs
             via_ordinary = diffs_from_ordinary(
@@ -261,6 +268,21 @@ class TestReciprocal:
         for f in units:
             assert f[0] in (1, -1)
             assert _back_substitute(list(f.coeffs))[1] == [0] * len(f.coeffs)
+
+
+class TestPascalRows:
+    def test_rows_are_binomials(self):
+        for order in range(81):
+            rows = list(_pascal_rows(order))
+            assert rows == [[comb(n, m) for m in range(n + 1)] for n in range(order + 1)], order
+
+    def test_yielded_rows_do_not_change(self):
+        kept, copies = [], []
+        for row in _pascal_rows(40):
+            kept.append(row)
+            copies.append(list(row))
+        assert kept == copies
+        assert len({id(row) for row in kept}) == len(kept)
 
 
 class TestScaleArg:
