@@ -27,9 +27,7 @@ bits into every operand. Its binomials come one row at a time from
 _pascal_rows, which sums only the first half of row n from row n - 1 and
 mirrors it, as C(n, m) = C(n, n - m): n // 2 additions where n would do.
 A zero sum is r_n = 0 with e_n = 0 at once, not divided by c top + 1
-times; at base 2 that is every even n >= 2. Together they took the
-benchmark's bernoulli_cold from a median 4.588 ms to 4.105 ms per command
-(BENCH_35.json).
+times; at base 2 that is every even n >= 2.
 
 idc_reciprocal_scaled takes the integer derivative values a_0..a_N of an
 IDC series f and runs its own recurrence, s_0 = 1 and

@@ -2,8 +2,9 @@
 
 The file pins values far past the frozen tables: the sha256 of
 ",".join(map(str, column)) for the column G_{0..1000,a} at every base
-a = 2..100, and of B_0..B_2000 written the same way. Tier-1 checks only the
-a = 2 column; this script checks everything, by the route chosen:
+a = 2..100, and of B_0..B_2000 written the same way. Tier-1 checks the
+a = 2 column, and B_0..B_2000 from Seidel's triangle alone; this script
+checks everything, by the route chosen:
 
   series     each column from the generating function (gen_genocchi_table),
              and B_n = G_n / (2 (1 - 2^n)) from the base-2 column

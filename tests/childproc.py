@@ -18,13 +18,20 @@ SRC = REPO_ROOT / "src"
 
 
 def run_python(
-    *args: str, env: dict[str, str] | None = None, stdout=subprocess.PIPE
+    *args: str,
+    env: dict[str, str] | None = None,
+    stdout=subprocess.PIPE,
+    stdlib_only: bool = False,
 ) -> subprocess.CompletedProcess:
     """``python *args`` with ``src`` first on ``PYTHONPATH``; output captured as
     text, unless ``stdout`` names another file descriptor for it. ``env`` adds
-    variables to the inherited environment."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
+    variables to the inherited environment. With ``stdlib_only`` the child is
+    ``python -S`` with ``src`` alone on ``PYTHONPATH``: with no site-packages,
+    an import from outside the standard library fails there as it would
+    before any install."""
+    path = [str(SRC)] if stdlib_only else [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    flags = ["-S"] if stdlib_only else []
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+        [sys.executable, *flags, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
     )

@@ -188,8 +188,13 @@ class TestBernoulliCommand:
         code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
         assert code == 2
         assert str(path) in err and "entry 1 fails re-derivation" in err
-        # int() reads each of these strings as the right value
+        # int() reads each of these strings as the right value; "0_2" alone
+        # first, then with two more
         raw["entries"][1][1] = "0_2"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "bernoulli", "--n-max", "5", "--cache-path", str(path))
+        assert code == 2
+        assert str(path) in err and "entry 1 fails re-derivation" in err
         raw["entries"][1][0] = " -1\n"
         raw["entries"][0][0] = "\u0661"
         path.write_text(json.dumps(raw))
@@ -439,16 +444,22 @@ class TestVerifyCommand:
             assert sorted(built) == [(a, 12) for a in (2, 3, 4)]
 
     def test_jobs_flag_changes_nothing_but_elapsed(self, capsys, tmp_path):
+        cache = str(tmp_path / "b.json")
         for theorem in ("theorem1", "all"):
             argv = ["verify", theorem, "--n-max", "15", "--a-max", "4", "--format", "json",
-                    "--cache-path", str(tmp_path / "b.json")]
+                    "--cache-path", cache]
             code1, out1, _ = run_cli(capsys, *argv)
             code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
             assert code1 == code2 == 0
-            one, two = json.loads(out1), json.loads(out2)
-            for r in one + two:
-                del r["elapsed_s"]
-            assert one == two
+            assert without_elapsed(out1, "json") == without_elapsed(out2, "json")
+        # the pool's lazy import is reached by no other run, so a pooled run
+        # must also work with the standard library alone
+        argv = ["verify", "all", "--n-max", "40", "--a-max", "6", "--format", "json",
+                "--cache-path", cache]
+        code, out, _ = run_cli(capsys, *argv)
+        pooled = run_python("-m", "genocchi", *argv, "--jobs", "2", stdlib_only=True)
+        assert (code, pooled.returncode) == (0, 0), pooled.stderr
+        assert without_elapsed(pooled.stdout, "json") == without_elapsed(out, "json")
 
     def test_n_max_below_a_statements_hypothesis_exits_two_before_checking(self, capsys, tmp_path):
         # theorem2 starts at n = 2, so `all` must stop before lemma_n_div runs
@@ -525,13 +536,13 @@ FAULTS = {
 
 
 class TestFaultMatrix:
-    """One wrong value in a kernel or in the cache file, and what each cache
-    state makes of it. A cold cache builds the Bernoulli table and checks
-    it against the base-2 series column; a warm one, written before the
-    fault, is re-derived by the Bernoulli kernel alone. The kernels are
-    Seidel's triangle, the base-2 and base-3 series columns, the
-    Bernoulli-sum transform and prop1's recurrence. prop1_idc checks only
-    that its trials stay integral, so a bumped integer passes it: the
+    """One wrong value in a kernel, in the cache file or by `--mutate`, and
+    what each cache state makes of it. A cold cache builds the Bernoulli
+    table and checks it against the base-2 series column; a warm one,
+    written before the fault, is re-derived by the Bernoulli kernel alone.
+    The kernels are Seidel's triangle, the base-2 and base-3 series columns,
+    the Bernoulli-sum transform and prop1's recurrence. prop1_idc checks
+    only that its trials stay integral, so a bumped integer passes it: the
     statement cannot tell a wrong recurrence from a right one."""
 
     @pytest.mark.parametrize("fault, state, argv, code, fragments", [
@@ -552,9 +563,10 @@ class TestFaultMatrix:
         ("prop1", "warm", ["verify", "prop1_idc", "--n-max", "20"], 0,
          ["prop1_idc: checked 20 points, 0 failures"]),
         ("file", "warm", BERNOULLI_SMALL, 2, ["entry 8 fails re-derivation"]),
+        ("mutate", "warm", [*PROP2_SMALL, "--mutate", "7,3"], 1, ["FAIL prop2_equiv n=7 a=3"]),
     ], ids=["kernel-cold", "kernel-warm", "column-cold", "column-warm", "column-a3-cold",
             "column-a3-warm", "transform-cold", "transform-warm", "prop1-cold", "prop1-warm",
-            "file-warm"])
+            "file-warm", "mutate-warm"])
     def test_one_bumped_value(self, capsys, monkeypatch, tmp_path, fault, state, argv, code,
                               fragments):
         path = tmp_path / "b.json"
@@ -566,7 +578,7 @@ class TestFaultMatrix:
             entry = raw["entries"][8]
             entry[0] = str(int(entry[0]) + 1)
             path.write_text(json.dumps(raw))
-        else:
+        elif fault in FAULTS:
             home, name, modules, n, base = FAULTS[fault]
             bumped = bumped_at(n, getattr(home, name), base)
             # each module that imports the kernel by name gets the bumped one
@@ -586,9 +598,11 @@ class TestFaultMatrix:
 
 class TestSharedParser:
     """main builds one parser per process; no call may leave anything in it
-    that changes a later call."""
+    that changes a later call, and the first call writes what a fresh
+    process writes."""
 
     def test_repeated_calls_match_their_first_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps alike in both processes
         assert cli.build_parser() is not cli.build_parser()
         cache = str(tmp_path / "b.json")
         calls = [["genocchi", "--n-max", "x"], ["--help"]]
@@ -611,6 +625,12 @@ class TestSharedParser:
             assert first.setdefault(tuple(argv), (code, out)) == (code, out), argv
         assert [first[tuple(argv)][0] for argv in calls] == [2, 0] + [0] * 6
         assert len(built) == 1
+        for argv in calls:
+            fresh = run_python("-m", "genocchi", *argv, stdlib_only=True)
+            out = fresh.stdout
+            if argv[0] == "verify":
+                out = without_elapsed(out, argv[argv.index("--format") + 1])
+            assert (fresh.returncode, out) == first[tuple(argv)], argv
 
     def test_dispatch_looks_up_the_command_at_call_time(self, capsys, monkeypatch):
         # what keeps the benchmark's cli.cmd_* spans counting once the

@@ -1,9 +1,10 @@
-"""The package's public names are the ones README's Library section lists."""
+"""README's Library section is the package's API: its public names are
+``genocchi.__all__``, and its python blocks run as written."""
 
 import re
 
 import genocchi
-from childproc import REPO_ROOT
+from childproc import REPO_ROOT, run_python
 
 
 def readme_public_names():
@@ -20,3 +21,14 @@ def test_all_is_the_list_readme_documents():
     assert names == list(genocchi.__all__)
     missing = [name for name in names if not hasattr(genocchi, name)]
     assert missing == []
+
+
+def test_readme_python_blocks_run_with_the_standard_library_alone():
+    # so the documented API cannot drift from the code, and needs nothing
+    # that an install would bring
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = run_python("-c", block, stdlib_only=True)
+        assert proc.returncode == 0, proc.stderr

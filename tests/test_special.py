@@ -304,11 +304,18 @@ class TestBernoulliSumRoute:
 
 class TestFrontierDigest:
     def test_base_two_column_at_n_1000(self):
-        # the full set (every base to 100, and B_0..B_2000) is checked by
-        # tests/check_frontier.py, which takes minutes
+        # every base to 100 is checked by tests/check_frontier.py, which
+        # takes minutes
         pinned = json.loads(DIGESTS.read_text())
         column = gen_genocchi_table(2, pinned["column_n_max"])
         assert digest(column) == pinned["columns"]["2"]
+
+    def test_seidel_bernoulli_to_the_frontier(self):
+        # the kernel every warm cache load trusts, alone; the routes that
+        # cross-check it at B_2000 take minutes, in tests/check_frontier.py
+        pinned = json.loads(DIGESTS.read_text())
+        values = special._seidel_bernoulli(pinned["bernoulli_max_index"])
+        assert digest(values) == pinned["bernoulli"]
 
 
 class TestVonStaudtClausen:

@@ -160,6 +160,50 @@ class TestPointChecksAgreeWithGrid:
         assert caught > 0
 
 
+class TestBumpCensus:
+    """What each statement sees of G + 1 at every point of the default grid,
+    n = 1..200 and a = 2..20, by its describer: a bump a statement misses is
+    a wrong value it cannot tell from the right one."""
+
+    # statement -> (bumps seen, points checked)
+    PLUS_ONE = {
+        TheoremId.LEMMA_N_DIV: (3600, 3800),
+        TheoremId.THEOREM1: (3600, 3800),
+        TheoremId.THEOREM2: (3781, 3781),
+        TheoremId.COROLLARY2: (3790, 3790),
+        TheoremId.GCD_COROLLARY: (1990, 3781),
+        TheoremId.ODD_GENOCCHI: (100, 100),
+        TheoremId.PROP2_EQUIV: (3800, 3800),
+    }
+
+    def test_plus_one_at_every_point(self):
+        n_max, a_max = 200, 20
+        table = bernoulli_table(n_max)
+        points = {t: set() for t in MUTABLE}
+        seen = {t: set() for t in MUTABLE}
+        for a in range(2, a_max + 1):
+            column = gen_genocchi_table(a, n_max)
+            by_sums = gen_genocchi_bernoulli(a, n_max, table)
+            for theorem in MUTABLE:
+                statement = STATEMENTS[theorem]
+                if not statement.over_a and a != 2:
+                    continue
+                at = a if statement.over_a else None
+                beside = by_sums if theorem is TheoremId.PROP2_EQUIV else None
+                for n in statement.n_values(at, statement.min_n, n_max):
+                    points[theorem].add((n, a))
+                    if statement.describe(n, at, column[n] + 1, beside) is not None:
+                        seen[theorem].add((n, a))
+        assert {t: (len(seen[t]), len(points[t])) for t in MUTABLE} == self.PLUS_ONE
+        # the points where every prime of n divides a, n = 1 included
+        for theorem in (TheoremId.LEMMA_N_DIV, TheoremId.THEOREM1):
+            missed = {(n, a) for n, a in points[theorem] if coprime_part(n, a) == 1}
+            assert points[theorem] - seen[theorem] == missed, theorem
+        # G_{1,a} = 1; only the independent route sees 2 there at even a
+        others = set().union(*(seen[t] for t in MUTABLE if t is not TheoremId.PROP2_EQUIV))
+        assert seen[TheoremId.PROP2_EQUIV] - others == {(1, a) for a in range(2, a_max + 1, 2)}
+
+
 class TestStatementRegistry:
     def test_one_record_per_statement(self):
         assert list(STATEMENTS) == list(TheoremId)
