@@ -1,97 +1,76 @@
-"""Check the frontier digests in frontier_digests.json by one route.
+"""Check every frontier digest in frontier_digests.json.
 
 The file pins values far past the frozen tables: the sha256 of
-",".join(map(str, column)) for the column G_{0..1000,a} at every base
-a = 2..100, and of B_0..B_2000 written the same way. Tier-1 checks the
-a = 2 column, and B_0..B_2000 from Seidel's triangle alone; this script
-checks everything, by the route chosen:
+",".join(map(str, values)) for the column G_{0..N,a} at each base a it
+lists and for B_0..B_M, with N, M and the bases read from the file
+(N = 1000, a = 2..100 and M = 2000 today). Tier-1 checks the a = 2 column,
+and B_0..B_M from Seidel's triangle alone; one run of this script checks
+each digest by these routes:
 
-  series     each column from the generating function (gen_genocchi_table),
-             and B_n = G_n / (2 (1 - 2^n)) from the base-2 column
-  transform  each column by the Bernoulli-sum route (gen_genocchi_bernoulli)
-             over the table from Seidel's triangle, and B from bernoulli_table
+  B_0..B_M      from Seidel's triangle (bernoulli_table), and from the
+                tangent numbers (tests/oracles.py, bernoulli_by_tangent)
+  each column   by the Bernoulli-sum route (gen_genocchi_bernoulli) over
+                that one table
+  a = 3, 20     also from the generating function (gen_genocchi_table),
+                at bases whose power sums have no zero term
+
+bernoulli_table raises ConsistencyError unless every B_n, n = 1..M,
+agrees with the base-2 series column (genocchi_table) through
+G_n = 2 (1 - 2^n) B_n; that cross-check is the series route's check of
+B_0..B_M, so a matching digest from the table pins that route too.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/check_frontier.py --route transform
-    PYTHONPATH=src python tests/check_frontier.py --route series --emit > digests.json
+    PYTHONPATH=src python tests/check_frontier.py
 
-It exits 0 when every digest matches and 1 otherwise, naming each
-mismatch. --emit prints the digests it computes, in the file's layout,
-instead of checking them; a digest is worth committing only when both
-routes emit it.
+Each check prints its label and the elapsed time to stderr, and
+"mismatch: <label>" when its digest differs. The last line on stdout is
+"k of m digests match"; the exit code is 0 when all match and 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from genocchi.special import (
-    bernoulli_table,
-    gen_genocchi_bernoulli,
-    gen_genocchi_table,
-    genocchi_table,
-)
+from genocchi.special import bernoulli_table, gen_genocchi_bernoulli, gen_genocchi_table
+from oracles import bernoulli_by_tangent
 
 DIGESTS = Path(__file__).with_name("frontier_digests.json")
-COLUMN_N_MAX = 1000
-BASES = range(2, 101)
-BERNOULLI_MAX_INDEX = 2000
+SERIES_BASES = (3, 20)
 
 
 def digest(values) -> str:
     return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
 
 
-def bernoulli_values(route: str, max_index: int) -> list[Fraction]:
-    if route == "transform":
-        return list(bernoulli_table(max_index).values)
-    column = genocchi_table(max_index)
-    return [Fraction(1)] + [Fraction(g, 2 * (1 - 2**n)) for n, g in enumerate(column) if n]
-
-
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--route", choices=("series", "transform"), required=True)
-    p.add_argument("--emit", action="store_true", help="print the digests instead of checking")
-    args = p.parse_args(argv)
-
-    start = time.perf_counter()
-    table = bernoulli_table(COLUMN_N_MAX - 1) if args.route == "transform" else None
-    columns = {}
-    for a in BASES:
-        if args.route == "transform":
-            column = gen_genocchi_bernoulli(a, COLUMN_N_MAX, table)
-        else:
-            column = gen_genocchi_table(a, COLUMN_N_MAX)
-        columns[str(a)] = digest(column)
-        print(f"a = {a}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    bernoulli = digest(bernoulli_values(args.route, BERNOULLI_MAX_INDEX))
-    print(f"{args.route} route: {time.perf_counter() - start:.1f} s", file=sys.stderr)
-
-    computed = {
-        "column_n_max": COLUMN_N_MAX,
-        "columns": columns,
-        "bernoulli_max_index": BERNOULLI_MAX_INDEX,
-        "bernoulli": bernoulli,
-    }
-    if args.emit:
-        print(json.dumps(computed, indent=1))
-        return 0
+def main() -> int:
     pinned = json.loads(DIGESTS.read_text())
-    bad = [f"a = {a}" for a in columns if columns[a] != pinned["columns"][a]]
-    if bernoulli != pinned["bernoulli"]:
-        bad.append(f"B_0..B_{BERNOULLI_MAX_INDEX}")
-    for what in bad:
-        print(f"mismatch: {what}", file=sys.stderr)
-    print(f"{len(columns) + 1 - len(bad)} of {len(columns) + 1} digests match")
-    return 1 if bad else 0
+    n_max, max_index = pinned["column_n_max"], pinned["bernoulli_max_index"]
+    start = time.perf_counter()
+    matched = []
+
+    def check(label, values, expected):
+        matched.append(digest(values) == expected)
+        print(f"{label}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        if not matched[-1]:
+            print(f"mismatch: {label}", file=sys.stderr)
+
+    table = bernoulli_table(max_index)
+    bernoulli = pinned["bernoulli"]
+    check(f"B_0..B_{max_index} from Seidel's triangle", table.values, bernoulli)
+    check(f"B_0..B_{max_index} by the tangent numbers", bernoulli_by_tangent(max_index), bernoulli)
+    columns = pinned["columns"]
+    for a in columns:
+        column = gen_genocchi_bernoulli(int(a), n_max, table)
+        check(f"a = {a} by the Bernoulli-sum route", column, columns[a])
+    for a in SERIES_BASES:
+        check(f"a = {a} by the series route", gen_genocchi_table(a, n_max), columns[str(a)])
+    print(f"{sum(matched)} of {len(matched)} digests match")
+    return 0 if all(matched) else 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from genocchi.special import (
     von_staudt_clausen_sum,
 )
 from genocchi.verify import TheoremId, run_grid
+import check_frontier
 from check_frontier import DIGESTS, digest
 from oracles import (
     BERNOULLI_FROZEN,
@@ -304,18 +305,44 @@ class TestBernoulliSumRoute:
 
 class TestFrontierDigest:
     def test_base_two_column_at_n_1000(self):
-        # every base to 100 is checked by tests/check_frontier.py, which
-        # takes minutes
+        # every base to 100 is checked by tests/check_frontier.py, by the
+        # Bernoulli-sum route and at a = 3 and 20 by the series route, in
+        # about 45 s on one core
         pinned = json.loads(DIGESTS.read_text())
         column = gen_genocchi_table(2, pinned["column_n_max"])
         assert digest(column) == pinned["columns"]["2"]
 
     def test_seidel_bernoulli_to_the_frontier(self):
-        # the kernel every warm cache load trusts, alone; the routes that
-        # cross-check it at B_2000 take minutes, in tests/check_frontier.py
+        # the kernel every warm cache load trusts, alone; tests/check_frontier.py
+        # cross-checks it at B_2000 against the base-2 series column and the
+        # tangent numbers, within the same 45 s
         pinned = json.loads(DIGESTS.read_text())
         values = special._seidel_bernoulli(pinned["bernoulli_max_index"])
         assert digest(values) == pinned["bernoulli"]
+
+    def test_check_frontier_at_a_small_size(self, tmp_path, monkeypatch, capsys):
+        # the CI frontier job's script, over digests from the oracles alone:
+        # 19 columns by the Bernoulli-sum route, 2 by the series route, B twice
+        n_max, max_index = 30, 60
+        pinned = {
+            "column_n_max": n_max,
+            "columns": {str(a): digest(gen_genocchi_by_ordinary(a, n_max)) for a in range(2, 21)},
+            "bernoulli_max_index": max_index,
+            "bernoulli": digest(bernoulli_recurrence(max_index)),
+        }
+        path = tmp_path / "frontier_digests.json"
+        monkeypatch.setattr(check_frontier, "DIGESTS", path)
+        path.write_text(json.dumps(pinned))
+        assert check_frontier.main() == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "23 of 23 digests match"
+
+        pinned["columns"]["20"] = digest(gen_genocchi_by_ordinary(20, n_max - 1))
+        path.write_text(json.dumps(pinned))
+        assert check_frontier.main() == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "21 of 23 digests match"
+        assert "mismatch: a = 20 by the Bernoulli-sum route" in err
+        assert "mismatch: a = 20 by the series route" in err
 
 
 class TestVonStaudtClausen:

@@ -4,6 +4,7 @@ capture, and the per-statement checks."""
 import hashlib
 import os
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -161,26 +162,29 @@ class TestPointChecksAgreeWithGrid:
 
 
 class TestBumpCensus:
-    """What each statement sees of G + 1 at every point of the default grid,
+    """What each statement sees of G + δ at every point of the default grid,
     n = 1..200 and a = 2..20, by its describer: a bump a statement misses is
     a wrong value it cannot tell from the right one."""
 
-    # statement -> (bumps seen, points checked)
-    PLUS_ONE = {
-        TheoremId.LEMMA_N_DIV: (3600, 3800),
-        TheoremId.THEOREM1: (3600, 3800),
-        TheoremId.THEOREM2: (3781, 3781),
-        TheoremId.COROLLARY2: (3790, 3790),
-        TheoremId.GCD_COROLLARY: (1990, 3781),
-        TheoremId.ODD_GENOCCHI: (100, 100),
-        TheoremId.PROP2_EQUIV: (3800, 3800),
+    # δ at (n, a) -> bumps seen per statement, in MUTABLE's order: lemma_n_div,
+    # theorem1, theorem2, corollary2, gcd_corollary, odd_genocchi, prop2_equiv
+    BUMPS = {
+        "+1": (lambda n, a: 1, (3600, 3600, 3781, 3790, 1990, 100, 3800)),
+        "-1": (lambda n, a: -1, (3600, 3600, 3781, 3790, 3781, 100, 3800)),
+        "+a": (lambda n, a: a, (3600, 3600, 0, 0, 0, 0, 3800)),
+        "-a": (lambda n, a: -a, (3600, 3600, 0, 0, 0, 0, 3800)),
+        "+n": (lambda n, a: n, (0, 0, 3267, 3276, 1496, 0, 3800)),
+        "-n": (lambda n, a: -n, (0, 0, 3267, 3276, 1488, 0, 3800)),
+        "+lcm(2a, n)": (lambda n, a: lcm(2 * a, n), (0, 0, 0, 0, 0, 0, 3800)),
+        "-lcm(2a, n)": (lambda n, a: -lcm(2 * a, n), (0, 0, 0, 0, 0, 0, 3800)),
     }
+    POINTS = (3800, 3800, 3781, 3790, 3781, 100, 3800)
 
-    def test_plus_one_at_every_point(self):
+    def test_every_bump_at_every_point(self):
         n_max, a_max = 200, 20
         table = bernoulli_table(n_max)
         points = {t: set() for t in MUTABLE}
-        seen = {t: set() for t in MUTABLE}
+        seen = {(d, t): set() for d in self.BUMPS for t in MUTABLE}
         for a in range(2, a_max + 1):
             column = gen_genocchi_table(a, n_max)
             by_sums = gen_genocchi_bernoulli(a, n_max, table)
@@ -192,16 +196,24 @@ class TestBumpCensus:
                 beside = by_sums if theorem is TheoremId.PROP2_EQUIV else None
                 for n in statement.n_values(at, statement.min_n, n_max):
                     points[theorem].add((n, a))
-                    if statement.describe(n, at, column[n] + 1, beside) is not None:
-                        seen[theorem].add((n, a))
-        assert {t: (len(seen[t]), len(points[t])) for t in MUTABLE} == self.PLUS_ONE
+                    for d, (delta, _) in self.BUMPS.items():
+                        if statement.describe(n, at, column[n] + delta(n, a), beside) is not None:
+                            seen[d, theorem].add((n, a))
+        assert tuple(len(points[t]) for t in MUTABLE) == self.POINTS
+        assert {d: tuple(len(seen[d, t]) for t in MUTABLE) for d in self.BUMPS} == {
+            d: counts for d, (_, counts) in self.BUMPS.items()
+        }
         # the points where every prime of n divides a, n = 1 included
         for theorem in (TheoremId.LEMMA_N_DIV, TheoremId.THEOREM1):
             missed = {(n, a) for n, a in points[theorem] if coprime_part(n, a) == 1}
-            assert points[theorem] - seen[theorem] == missed, theorem
+            assert points[theorem] - seen["+1", theorem] == missed, theorem
         # G_{1,a} = 1; only the independent route sees 2 there at even a
-        others = set().union(*(seen[t] for t in MUTABLE if t is not TheoremId.PROP2_EQUIV))
-        assert seen[TheoremId.PROP2_EQUIV] - others == {(1, a) for a in range(2, a_max + 1, 2)}
+        others = set().union(
+            *(seen["+1", t] for t in MUTABLE if t is not TheoremId.PROP2_EQUIV)
+        )
+        assert seen["+1", TheoremId.PROP2_EQUIV] - others == {
+            (1, a) for a in range(2, a_max + 1, 2)
+        }
 
 
 class TestStatementRegistry:
