@@ -53,7 +53,8 @@ from operator import add, mul
 @dataclass(frozen=True)
 class EgfSeries:
     """Differential coefficients a_0..a_N of a series truncated at order N,
-    each integral one an int and each other one a lowest-terms Fraction."""
+    each integral one an int and each other one a lowest-terms Fraction.
+    Any other value, a float or a str included, raises ValueError."""
 
     coeffs: tuple[int | Fraction, ...]
 

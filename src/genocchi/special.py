@@ -110,16 +110,20 @@ def genocchi_table(n_max: int) -> list[int]:
 def gen_genocchi_table(a: int, n_max: int) -> list[int]:
     """G_{0,a}..G_{n_max,a} from a*t / (1 + e^t + ... + e^{(a-1)t}), truncated
     at order n_max, since coefficient n depends only on the first n + 1 terms.
-    The series hold each integral coefficient as an int, so the product's
-    coefficients are the column itself; one that is not an int aborts:
-    integrality is a structural fact here, not an input condition."""
+    Coefficient n of a*t*r is a*n*r_{n-1}, so the reciprocal r is taken to
+    order n_max - 1 and padded with a 0 it never reads. The series hold each
+    integral coefficient as an int, so the product's coefficients are the
+    column itself; one that is not an int aborts: integrality is a
+    structural fact here, not an input condition."""
+    if a < 2:
+        raise ValueError(f"base must satisfy a >= 2, got {a}")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    denom = exp_sum_series(a, n_max)
+    recip = series_reciprocal(exp_sum_series(a, max(n_max - 1, 0)))
     numer = [0] * (n_max + 1)
     if n_max >= 1:
         numer[1] = a
-    prod = series_mul(EgfSeries(tuple(numer)), series_reciprocal(denom))
+    prod = series_mul(EgfSeries(tuple(numer)), EgfSeries((*recip.coeffs, 0)[: n_max + 1]))
     for n, c in enumerate(prod.coeffs):
         if type(c) is not int:
             raise ConsistencyError(

@@ -217,16 +217,23 @@ class TestGenGenocchi:
             assert gen_genocchi_table(a, 40) == gen_genocchi_by_ordinary(a, 40)
 
     def test_column_goes_through_the_series_layer(self, monkeypatch):
-        # the benchmark's trace expects one call of each per column
-        calls = {"series_reciprocal": 0, "series_mul": 0}
-        for name in calls:
-            def counting(*args, _inner=getattr(special, name), _name=name):
-                calls[_name] += 1
-                return _inner(*args)
+        # the benchmark's trace expects one call of each per column; the
+        # reciprocal stops one order short, as a*t*r reads r_{n-1} alone
+        calls = []
+        for name in ("series_reciprocal", "series_mul"):
+            def recording(f, *rest, _inner=getattr(special, name), _name=name):
+                calls.append((_name, f.order))
+                return _inner(f, *rest)
 
-            monkeypatch.setattr(special, name, counting)
+            monkeypatch.setattr(special, name, recording)
         assert gen_genocchi_table(3, 8) == GEN_GENOCCHI_FROZEN[3]
-        assert calls == {"series_reciprocal": 1, "series_mul": 1}
+        assert calls == [("series_reciprocal", 7), ("series_mul", 8)]
+        calls.clear()
+        for a in (2, 3, 10):
+            assert gen_genocchi_table(a, 1) == [0, 1]
+            assert gen_genocchi_table(a, 0) == [0]
+        assert calls == [("series_reciprocal", 0), ("series_mul", 1),
+                         ("series_reciprocal", 0), ("series_mul", 0)] * 3
 
     def test_low_indices(self):
         for a in range(2, 13):
@@ -258,9 +265,10 @@ class TestGenGenocchi:
         assert gen_genocchi_table(6, 3)[3] == 10
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        # the column's own words, not those of the helper it calls
+        with pytest.raises(ValueError, match=r"^base must satisfy a >= 2, got 1$"):
             gen_genocchi_table(1, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_max must be nonnegative, got -1$"):
             gen_genocchi_table(3, -1)
 
 

@@ -26,7 +26,7 @@ from genocchi.verify import (
     run_grid,
     _prop1_trial_series,
 )
-from oracles import prop1_trial_by_randint
+from oracles import prop1_trial_by_randint, trial_factor
 
 
 def failures_for(theorem, n, a, g, beside=None):
@@ -179,14 +179,20 @@ class TestBumpCensus:
         "-lcm(2a, n)": (lambda n, a: -lcm(2 * a, n), (0, 0, 0, 0, 0, 0, 3800)),
     }
     POINTS = (3800, 3800, 3781, 3790, 3781, 100, 3800)
+    N_MAX, A_MAX = 200, 20
 
-    def test_every_bump_at_every_point(self):
-        n_max, a_max = 200, 20
+    @pytest.fixture(scope="class")
+    def columns(self):
+        """The series columns G_{0..N_MAX,a} for a = 2..A_MAX, built once."""
+        return {a: gen_genocchi_table(a, self.N_MAX) for a in range(2, self.A_MAX + 1)}
+
+    def test_every_bump_at_every_point(self, columns):
+        n_max, a_max = self.N_MAX, self.A_MAX
         table = bernoulli_table(n_max)
         points = {t: set() for t in MUTABLE}
         seen = {(d, t): set() for d in self.BUMPS for t in MUTABLE}
         for a in range(2, a_max + 1):
-            column = gen_genocchi_table(a, n_max)
+            column = columns[a]
             by_sums = gen_genocchi_bernoulli(a, n_max, table)
             for theorem in MUTABLE:
                 statement = STATEMENTS[theorem]
@@ -214,6 +220,64 @@ class TestBumpCensus:
         assert seen["+1", TheoremId.PROP2_EQUIV] - others == {
             (1, a) for a in range(2, a_max + 1, 2)
         }
+
+    def test_congruences_miss_exactly_the_multiples_of_l(self, columns):
+        # At (n, a) corollary2 misses exactly the bumps in aZ, theorem1 those
+        # in coprime_part(n, a) Z, and every other congruence statement all
+        # of LZ, L being the lcm of the two moduli of those that check the
+        # point. So every one misses the multiples of L and nothing else
+        # exactly when each misses ±L and one sees ±L/p for each prime p | L.
+        # That gap is what prop2_equiv's independent route alone closes.
+        congruences = [t for t in MUTABLE if t is not TheoremId.PROP2_EQUIV]
+        all_missed = set()
+        for a, column in columns.items():
+            for n in range(1, self.N_MAX + 1):
+                checks = {}  # statement -> the base its describer takes
+                for theorem in congruences:
+                    statement = STATEMENTS[theorem]
+                    at = a if statement.over_a else None
+                    if (statement.over_a or a == 2) and n in statement.n_values(
+                        at, statement.min_n, self.N_MAX
+                    ):
+                        checks[theorem] = at
+
+                def seen(delta):
+                    return [
+                        t for t, at in checks.items()
+                        if STATEMENTS[t].describe(n, at, column[n] + delta, None) is not None
+                    ]
+
+                gap = coprime_part(n, a)
+                if TheoremId.COROLLARY2 in checks:
+                    gap = lcm(gap, a)
+                if gap == 1:
+                    all_missed.add((n, a))
+                for sign in (1, -1):
+                    assert seen(sign * gap) == [], (n, a, sign * gap)
+                    for p, _ in trial_factor(gap):
+                        assert seen(sign * gap // p), (n, a, sign * gap // p)
+        # only lemma_n_div and theorem1 check G_{1,a} = 1 at even a
+        assert all_missed == {(1, a) for a in range(2, self.A_MAX + 1, 2)}
+
+    def test_prop1_sees_no_bump(self, monkeypatch):
+        # prop1_idc asks only whether each s_k is an integer, so it passes
+        # s_k + 1 for every k in every trial: it checks none of the values
+        order, trials = 30, 200
+        exact = {}  # trial series -> its s_0..s_order, computed once
+
+        def bumped(f):
+            key = tuple(f)
+            if key not in exact:
+                exact[key] = idc_reciprocal_scaled(f)
+            h = list(exact[key])
+            h[k] += 1
+            return h
+
+        monkeypatch.setattr(verify, "idc_reciprocal_scaled", bumped)
+        for k in range(order + 1):
+            r = run_grid(TheoremId.PROP1_IDC, (1, trials), order=order)
+            assert (r.checked, r.failures) == (trials, ()), k
+        assert len(exact) == trials
 
 
 class TestStatementRegistry:
