@@ -176,9 +176,6 @@ def cmd_verify(args) -> int:
     min_n = max(STATEMENTS[t].min_n for t in theorems)
     if args.n_max < min_n:
         raise ValueError(f"--n-max must be at least {min_n} for {args.theorem}, got {args.n_max}")
-    prop1 = TheoremId.PROP1_IDC
-    if prop1 in theorems and args.order is not None and args.order < 1:
-        raise ValueError(f"order {args.order} is below 1 for {prop1.value}")
 
     bernoulli = None
     if any(STATEMENTS[t].bernoulli for t in theorems):
@@ -192,7 +189,6 @@ def cmd_verify(args) -> int:
             theorem,
             (1, args.n_max),
             (2, args.a_max),
-            order=args.order,
             jobs=args.jobs,
             mutate=args.mutate,
             bernoulli=bernoulli,
@@ -247,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--n-max", type=int, default=200, help="grid runs n = 1..n-max")
     p_ver.add_argument("--a-max", type=int, default=20, help="grid runs a = 2..a-max")
-    p_ver.add_argument("--order", type=int, default=None, help="prop1_idc trial order (default 30)")
     p_ver.add_argument("--jobs", type=int, default=1, help="processes that build columns")
     p_ver.add_argument(
         "--mutate",

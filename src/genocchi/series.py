@@ -27,7 +27,9 @@ bits into every operand. Its binomials come one row at a time from
 _pascal_rows, which sums only the first half of row n from row n - 1 and
 mirrors it, as C(n, m) = C(n, n - m): n // 2 additions where n would do.
 A zero sum is r_n = 0 with e_n = 0 at once, not divided by c top + 1
-times; at base 2 that is every even n >= 2.
+times; at base 2 that is every even n >= 2. When every a_k after a_0 is 1,
+as the power sums of 1 + e^t are at base 2, a term is C(n,m) r_m: the
+factor a_{n-m} = 1 is not multiplied in, which is checked once per call.
 
 idc_reciprocal_scaled takes the integer derivative values a_0..a_N of an
 IDC series f and runs its own recurrence, s_0 = 1 and
@@ -125,13 +127,18 @@ def _back_substitute(a: list[int]) -> tuple[list[int], list[int]]:
     r_m only, so the base-2 column skips its zero half (module docstring).
     Each e_n is as small as the recurrence allows: c | p_n only if e_n = 0."""
     c = a[0]
+    unit = a[1:].count(1) == len(a) - 1  # a_k = 1 for every k >= 1
     p, e = [], [0] * len(a)
     scaled = []  # (m, p_m c^(top - e_m)): every nonzero r_m so far over c^top
     top = 0
     for n, row in enumerate(_pascal_rows(len(a) - 1)):
         acc = 0 if n else 1  # r_0 = 1 / c
-        for m, x in scaled:
-            acc -= row[m] * a[n - m] * x
+        if unit:
+            for m, x in scaled:
+                acc -= row[m] * x
+        else:
+            for m, x in scaled:
+                acc -= row[m] * a[n - m] * x
         # r_n = acc / c^(top + 1), and r_n = 0 needs no power of c
         e_n = top + 1 if acc else 0
         while e_n:

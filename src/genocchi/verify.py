@@ -30,7 +30,7 @@ from .special import (
     von_staudt_clausen_sum,
 )
 
-PROP1_DEFAULT_ORDER = 30
+PROP1_ORDER = 30  # the order of every prop1_idc trial series
 PROP1_COEFF_RANGE = (-9, 9)
 PROP1_CONSTANT_RANGE = (1, 5)
 
@@ -159,13 +159,13 @@ def _vsc_integrality_failures(n, a, g, bern):
         return f"B_n + sum 1/p = {s}", "an integer"
 
 
-def _prop1_idc_failures(n, a, g, order):
-    # n is the trial index; run_grid has resolved the order
-    h = idc_reciprocal_scaled(_prop1_trial_series(n, order))
+def _prop1_idc_failures(n, a, g, beside):
+    # n is the trial index
+    h = idc_reciprocal_scaled(_prop1_trial_series(n, PROP1_ORDER))
     if any(h_k.denominator != 1 for h_k in h):
         return (
             f"scaled reciprocal left the integers (trial {n})",
-            f"integer coefficients through order {order}",
+            f"integer coefficients through order {PROP1_ORDER}",
         )
 
 
@@ -184,8 +184,8 @@ class Statement:
     mutation bumps a table value, so only statements with a table take one.
     `describe(n, a, g, beside)` returns the (observed, expected) pair of a
     failing point, or None. `beside` is the one value it reads besides G:
-    the Bernoulli table (vsc_integrality), the trial order (prop1_idc), the
-    base-a column by the Bernoulli-sum route (prop2_equiv), or None.
+    the Bernoulli table (vsc_integrality), the base-a column by the
+    Bernoulli-sum route (prop2_equiv), or None.
     """
 
     describe: Callable[..., tuple[str, str] | None]
@@ -245,7 +245,6 @@ def run_grid(
     n_range: tuple[int, int],
     a_range: tuple[int, int] | None = None,
     *,
-    order: int | None = None,
     jobs: int = 1,
     mutate: tuple[int, int] | None = None,
     bernoulli: BernoulliTable | None = None,
@@ -256,14 +255,12 @@ def run_grid(
     Ranges are adjusted to the statement's hypotheses (recorded in notes);
     an empty grid after adjustment is an error. `mutate` = (n, a) bumps that
     one table value by 1 before checking, to prove the harness can fail; a
-    mutated grid with no failure at (n, a) is an error.
-    `order` sizes prop1_idc's trial series (default 30, below 1 an error),
-    and prop1_idc notes the order used; other statements have none and note
-    that they ignore it. The columns to build, series columns and
-    prop2_equiv's Bernoulli-sum columns, are built on at most `jobs` worker
-    processes, never more than one per column or per CPU; the checks run in
-    this process. Failures come back sorted by (n, a); two identical runs
-    produce equal reports apart from elapsed_s.
+    mutated grid with no failure at (n, a) is an error. prop1_idc notes the
+    order of its trial series, always PROP1_ORDER. The columns to build,
+    series columns and prop2_equiv's Bernoulli-sum columns, are built on at
+    most `jobs` worker processes, never more than one per column or per CPU;
+    the checks run in this process. Failures come back sorted by (n, a);
+    two identical runs produce equal reports apart from elapsed_s.
 
     `columns` memoises columns by (a, n_max), a being 2 for the classical
     column: a column found there is not built again, and each column built
@@ -324,12 +321,7 @@ def run_grid(
         bern = bernoulli if bernoulli is not None else bernoulli_table(n_hi)
 
     if theorem is TheoremId.PROP1_IDC:
-        order = PROP1_DEFAULT_ORDER if order is None else order
-        if order < 1:  # a trial of order 0 is a constant, trivially IDC
-            raise ValueError(f"order {order} is below 1 for {theorem.value}")
-        notes.append(f"trial series of order {order}")
-    elif order is not None:
-        notes.append(f"{theorem.value} has no trial series; order ignored")
+        notes.append(f"trial series of order {PROP1_ORDER}")
 
     if columns is None:
         columns = {}
@@ -337,9 +329,9 @@ def run_grid(
         missing = [a for a in map(_base, bases) if (a, n_hi) not in columns]
         built = _map(_column, missing, repeat(n_hi), jobs=jobs)
         columns.update(((a, n_hi), column) for a, column in zip(missing, built))
-    # what the describer reads beside G: prop1_idc its order, prop2_equiv its
-    # base's column by the Bernoulli-sum route, the other statements `bern`
-    besides = repeat(order if theorem is TheoremId.PROP1_IDC else bern)
+    # what the describer reads beside G: prop2_equiv its base's column by the
+    # Bernoulli-sum route, the other statements `bern`
+    besides = repeat(bern)
     if theorem is TheoremId.PROP2_EQUIV:
         besides = _map(gen_genocchi_bernoulli, bases, repeat(n_hi), repeat(bern), jobs=jobs)
     failures: list[GridFailure] = []

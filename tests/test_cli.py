@@ -271,38 +271,10 @@ class TestGenocchiCommand:
         code, _, err = run_cli(capsys, "genocchi", "--n-max", "4", "--a", "1")
         assert code == 2 and "--a" in err
 
-    def test_order_below_n_max_exits_two(self, capsys, tmp_path):
+    def test_order_below_n_max_exits_two(self, capsys):
         # a column's truncation is its n_max; genocchi takes no --order
         code, _, err = run_cli(capsys, "genocchi", "--n-max", "10", "--a", "3", "--order", "4")
         assert code == 2 and "--order" in err
-        # only prop1_idc has a trial series; the others note that they ignore it
-        for argv in (
-            ["verify", "theorem1", "--n-max", "10", "--a-max", "3", "--order", "4"],
-            ["verify", "odd_genocchi", "--n-max", "10", "--order", "4"],
-        ):
-            code, out, _ = run_cli(capsys, *argv)
-            assert code == 0, argv
-            notes = canonical_reports_from_csv(out)[0]["notes"]
-            assert f"{argv[1]} has no trial series; order ignored" in notes, argv
-        # under all, --order still sizes prop1's trials
-        code, out, _ = run_cli(capsys, "verify", "all", "--n-max", "20", "--a-max", "3",
-                               "--order", "5", "--cache-path", str(tmp_path / "b.json"))
-        assert code == 0
-        for r in canonical_reports_from_csv(out):
-            ignored = f"{r['theorem']} has no trial series; order ignored" in r["notes"]
-            assert ignored == (r["theorem"] != "prop1_idc"), r["theorem"]
-            if r["theorem"] == "prop1_idc":
-                assert r["checked"] == 20
-                assert "trial series of order 5" in r["notes"]
-        # without --order prop1 notes the default order
-        code, out, _ = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3")
-        assert code == 0
-        assert "trial series of order 30" in canonical_reports_from_csv(out)[0]["notes"]
-        # prop1's order sizes its trial series; below 1 every trial is a constant
-        for order in ("0", "-2"):
-            code, _, err = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3", "--order", order)
-            assert code == 2, order
-            assert f"order {order} is below 1 for prop1_idc" in err, order
 
     def test_unwritable_output_exits_two(self, capsys, monkeypatch):
         # exit 1 means a counterexample; a full disk is an error like any other
@@ -415,13 +387,18 @@ class TestVerifyCommand:
         assert [r["theorem"] for r in reports] == [t.value for t in TheoremId]
         assert all(r["failure_count"] == 0 for r in reports)
 
-    def test_bad_order_under_all_fails_before_any_statement(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "verify", "all", "--n-max", "10", "--a-max", "3",
-                                 "--order", "0", "--cache-path", str(tmp_path / "b.json"))
-        assert code == 2 and out == ""
-        assert "lemma_n_div:" not in err
-        assert err == "error: order 0 is below 1 for prop1_idc\n"
-        assert not (tmp_path / "b.json").exists()  # nor is the Bernoulli table built
+    def test_order_option_exits_two_before_any_statement(self, capsys, tmp_path):
+        # prop1_idc's trials are always of order 30; verify takes no --order
+        for theorem in ("prop1_idc", "all"):
+            code, out, err = run_cli(capsys, "verify", theorem, "--n-max", "10", "--a-max", "3",
+                                     "--order", "5", "--cache-path", str(tmp_path / "b.json"))
+            assert code == 2 and out == "", theorem
+            assert "unrecognized arguments: --order 5" in err, theorem
+            assert "checked" not in err, theorem
+            assert not (tmp_path / "b.json").exists()  # nor is the Bernoulli table built
+        code, out, _ = run_cli(capsys, "verify", "prop1_idc", "--n-max", "3")
+        assert code == 0
+        assert "trial series of order 30" in canonical_reports_from_csv(out)[0]["notes"]
 
     def test_all_builds_each_column_once_per_command(self, capsys, tmp_path, monkeypatch):
         # counted under every name the kernel has, so a base-2 column built

@@ -59,6 +59,22 @@ def log1p_series(order):
     return EgfSeries(tuple(coeffs))
 
 
+def reciprocal_by_ordinary(f):
+    """The reciprocal of f by the ordinary-coefficient oracle."""
+    return diffs_from_ordinary(
+        ordinary_reciprocal(ordinary_from_diffs(list(map(Fraction, f.coeffs))))
+    )
+
+
+# c - 1 + e^t, the series [c] + [1] * N, for these c and N = 0..60: every
+# a_k after a_0 is 1, as in the base-2 column, so the kernel drops a_{n-m}
+UNIT_TAIL_CONSTANTS = (*range(-12, 0), *range(1, 13))
+
+
+def unit_tail(c, order):
+    return EgfSeries((c,) + (1,) * order)
+
+
 def random_idc(rng, order, lo=-9, hi=9, constant_range=(1, 5)):
     coeffs = [Fraction(rng.randint(*constant_range))]
     coeffs += [Fraction(rng.randint(lo, hi)) for _ in range(order)]
@@ -235,11 +251,14 @@ class TestReciprocal:
             for c in (1, -1, 2, 6) for order in range(4) for _ in range(5)
         ]
         for f in inputs:
-            via_binomial = series_reciprocal(f).coeffs
-            via_ordinary = diffs_from_ordinary(
-                ordinary_reciprocal(ordinary_from_diffs(list(map(Fraction, f.coeffs))))
-            )
-            assert list(via_binomial) == via_ordinary
+            assert list(series_reciprocal(f).coeffs) == reciprocal_by_ordinary(f)
+        # coefficient n of a reciprocal reads a_0..a_n alone, so one oracle
+        # run at order 60 holds every shorter truncation
+        for c in UNIT_TAIL_CONSTANTS:
+            whole = reciprocal_by_ordinary(unit_tail(c, 60))
+            for order in range(61):
+                r = series_reciprocal(unit_tail(c, order))
+                assert list(r.coeffs) == whole[: order + 1], (c, order)
 
     def test_power_sum_reciprocal_matches_bernoulli_sum(self):
         # r = 1/(1 + e^t + ... + e^{(a-1)t}) has r_n = G_{n+1,a} / (a (n+1)),
@@ -268,6 +287,12 @@ class TestReciprocal:
         for f in units:
             assert f[0] in (1, -1)
             assert _back_substitute(list(f.coeffs))[1] == [0] * len(f.coeffs)
+        for c in UNIT_TAIL_CONSTANTS:
+            for order in range(61):
+                p, e = _back_substitute(list(unit_tail(c, order).coeffs))
+                assert all(e_n == 0 or p_n % c for p_n, e_n in zip(p, e)), (c, order)
+                if c in (1, -1):
+                    assert e == [0] * (order + 1), (c, order)
 
 
 class TestPascalRows:

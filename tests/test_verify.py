@@ -20,6 +20,7 @@ from genocchi.special import (
     genocchi_table,
 )
 from genocchi.verify import (
+    PROP1_ORDER,
     STATEMENTS,
     GridFailure,
     TheoremId,
@@ -262,8 +263,8 @@ class TestBumpCensus:
     def test_prop1_sees_no_bump(self, monkeypatch):
         # prop1_idc asks only whether each s_k is an integer, so it passes
         # s_k + 1 for every k in every trial: it checks none of the values
-        order, trials = 30, 200
-        exact = {}  # trial series -> its s_0..s_order, computed once
+        trials = 200
+        exact = {}  # trial series -> its s_0..s_30, computed once
 
         def bumped(f):
             key = tuple(f)
@@ -274,8 +275,8 @@ class TestBumpCensus:
             return h
 
         monkeypatch.setattr(verify, "idc_reciprocal_scaled", bumped)
-        for k in range(order + 1):
-            r = run_grid(TheoremId.PROP1_IDC, (1, trials), order=order)
+        for k in range(PROP1_ORDER + 1):
+            r = run_grid(TheoremId.PROP1_IDC, (1, trials))
             assert (r.checked, r.failures) == (trials, ()), k
         assert len(exact) == trials
 
